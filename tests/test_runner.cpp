@@ -253,6 +253,42 @@ TEST(ShardArchive, CheckpointRoundTripsWithSnapshotAndCursor) {
   EXPECT_NE(why.find("cursor"), std::string::npos) << why;
 }
 
+// Archive-byte pins for both shard file kinds on tiny_spec(): crc32 of the
+// payload (the stored footer) and the archive size.  Taken from the
+// hand-written encoders; a changed row means the WSRS/WSRC layout changed,
+// which requires a version bump, not a new row.
+TEST(ShardArchive, ArchiveBytesArePinned) {
+  const sweep::SweepSpec spec = tiny_spec();
+  const auto payload_crc = [](const std::vector<std::uint8_t>& bytes) {
+    return common::crc32(bytes.data(), bytes.size() - 4);
+  };
+
+  ShardHeader header;
+  header.shard = 1;
+  header.workers = 2;
+  header.item_begin = 2;
+  header.item_end = 4;
+  header.master_seed = spec.base.seed;
+  std::vector<sim::SimMetrics> items;
+  for (std::size_t i = 2; i < 4; ++i) {
+    items.push_back(sim::Simulator(sweep::item_config(spec, i)).run());
+  }
+  const std::vector<std::uint8_t> result = encode_shard_result(header, items);
+  EXPECT_EQ(payload_crc(result), 225921263u);
+  EXPECT_EQ(result.size(), 5796u);
+
+  ShardCheckpoint ck;
+  ck.header = header;
+  ck.next_item = 3;
+  ck.completed = {items[0]};
+  sim::Simulator in_flight(sweep::item_config(spec, 3));
+  for (int f = 0; f < 40; ++f) in_flight.step_frame();
+  ck.snapshot = in_flight.snapshot();
+  const std::vector<std::uint8_t> checkpoint = encode_shard_checkpoint(ck);
+  EXPECT_EQ(payload_crc(checkpoint), 1895839672u);
+  EXPECT_EQ(checkpoint.size(), 21473u);
+}
+
 // --------------------------------------------------- supervised execution
 
 TEST(Supervisor, FaultFreeMergeIsBitIdenticalForAnyWorkerCount) {

@@ -24,7 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "src/common/serialize.hpp"
 #include "src/scenario/experiments.hpp"
+#include "src/scenario/scenario.hpp"
 #include "src/service/events.hpp"
 #include "src/service/service.hpp"
 #include "src/service/trace.hpp"
@@ -101,6 +103,48 @@ sim::SystemConfig hotspot_config(std::uint64_t seed) {
   sim::SystemConfig cfg = scenario::hotspot_cell_config(seed);
   cfg.sim_duration_s = 6.0;
   cfg.warmup_s = 1.0;
+  return cfg;
+}
+
+/// Shrunk scenario layout with a test-budget horizon.
+sim::SystemConfig small_layout_config(scenario::ScenarioLayout layout,
+                                      std::uint64_t seed) {
+  layout.voice_users = 10;
+  layout.data_users = 8;
+  layout.sim_duration_s = 6.0;
+  layout.warmup_s = 1.0;
+  layout.seed = seed;
+  return layout.to_config();
+}
+
+/// Vehicular corridor: every user runs CorridorMobility.
+sim::SystemConfig corridor_config(std::uint64_t seed) {
+  return small_layout_config(scenario::highway_corridor(), seed);
+}
+
+/// The relaxed-precision provider on a 19-cell grid with a candidate radius
+/// small enough that the far-field aggregate carries real power.
+sim::SystemConfig fast_config(std::uint64_t seed) {
+  sim::SystemConfig cfg = small_layout_config(scenario::hotspot_center(), seed);
+  cfg.csi.provider = "fast";
+  cfg.csi.refresh_interval_s = 0.2;
+  cfg.csi.cull_radius_scale = 2.0;
+  return cfg;
+}
+
+/// The random-order baseline: its scheduler RNG is checkpointed state.
+sim::SystemConfig random_policy_config(std::uint64_t seed) {
+  sim::SystemConfig cfg = hotspot_config(seed);
+  cfg.admission.policy = "random";
+  return cfg;
+}
+
+/// Two carriers with inter-carrier hand-down of rejected requests.
+sim::SystemConfig hand_down_config(std::uint64_t seed) {
+  scenario::ScenarioLayout layout = scenario::enterprise_data();
+  sim::SystemConfig cfg = small_layout_config(layout, seed);
+  cfg.data.users = 24;
+  cfg.admission.policy = "hand-down";
   return cfg;
 }
 
@@ -375,6 +419,45 @@ TEST(CheckpointRestore, ResumedRunEqualsUninterruptedAcrossSeeds) {
       EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
                 resumed.reverse_interference_w(cell));
     }
+  }
+}
+
+// Archive-byte pins: crc32 and size of snapshot() at frame k for one world
+// per checkpointed seam (mobility kinds, providers with and without the far
+// field, stochastic policy, two carriers).  The rows were taken from the
+// hand-written save/load implementation and must hold across any
+// serialization refactor: a changed row means the snapshot layout changed,
+// which requires a kSnapshotVersion bump, not a new row.
+TEST(CheckpointRestore, SnapshotBytesArePinned) {
+  struct Pin {
+    const char* name;
+    sim::SystemConfig (*config)(std::uint64_t);
+    std::uint64_t seed;
+    std::int64_t frame;
+    std::uint32_t crc;
+    std::size_t size;
+  };
+  const Pin pins[] = {
+      {"hotspot/exhaustive", hotspot_config, 5, 40, 514591495u, 66425},
+      {"highway-corridor", corridor_config, 7, 40, 3173110956u, 63833},
+      {"fast+far-field", fast_config, 9, 40, 1196175520u, 63399},
+      {"random policy", random_policy_config, 11, 60, 3190832093u, 66425},
+      {"hand-down 2 carriers", hand_down_config, 13, 60, 2419366978u, 55299},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.name);
+    const sim::SystemConfig cfg = pin.config(pin.seed);
+    sim::Simulator sim(cfg);
+    for (std::int64_t f = 0; f < pin.frame; ++f) sim.step_frame();
+    if (cfg.csi.provider == "fast") {
+      ASSERT_TRUE(sim.far_field_active());
+    }
+    const std::vector<std::uint8_t> bytes = sim.snapshot();
+    // crc32 of the payload (the archive's own footer): the crc of a whole
+    // sealed archive is the constant CRC residue and would pin nothing.
+    const std::uint32_t crc = common::crc32(bytes.data(), bytes.size() - 4);
+    EXPECT_EQ(crc, pin.crc);
+    EXPECT_EQ(bytes.size(), pin.size);
   }
 }
 
