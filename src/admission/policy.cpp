@@ -117,25 +117,9 @@ std::vector<PolicyGrant> SchedulerPolicy::decide(const FrameContext& ctx,
   return grants;
 }
 
-void SchedulerPolicy::save_state(common::BinaryWriter& w) const {
-  scheduler_->save_state(w);
-}
-
-bool SchedulerPolicy::load_state(common::BinaryReader& r) {
-  return scheduler_->load_state(r);
-}
-
 HandDownPolicy::HandDownPolicy(std::unique_ptr<Scheduler> scheduler)
     : scheduler_(std::move(scheduler)) {
   WCDMA_ASSERT(scheduler_ != nullptr);
-}
-
-void HandDownPolicy::save_state(common::BinaryWriter& w) const {
-  scheduler_->save_state(w);
-}
-
-bool HandDownPolicy::load_state(common::BinaryReader& r) {
-  return scheduler_->load_state(r);
 }
 
 std::vector<PolicyGrant> HandDownPolicy::decide(const FrameContext& ctx,

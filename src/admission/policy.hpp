@@ -128,7 +128,7 @@ class AdmissionPolicy {
   /// Checkpoint hooks, forwarded to the wrapped scheduler where one exists;
   /// policies without evolved state keep the empty default.
   virtual void save_state(common::BinaryWriter&) const {}
-  virtual bool load_state(common::BinaryReader&) { return true; }
+  virtual void load_state(common::BinaryReader&) {}
 };
 
 /// Adapts a scheduling-sub-layer Scheduler (Section 3.2) to the policy API:
@@ -142,8 +142,8 @@ class SchedulerPolicy final : public AdmissionPolicy {
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
   std::string name() const override;
-  void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
+  void save_state(common::BinaryWriter& w) const override { scheduler_->save_state(w); }
+  void load_state(common::BinaryReader& r) override { scheduler_->load_state(r); }
 
  private:
   std::unique_ptr<Scheduler> scheduler_;
@@ -166,8 +166,8 @@ class HandDownPolicy final : public AdmissionPolicy {
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
   std::string name() const override { return "HandDown"; }
-  void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
+  void save_state(common::BinaryWriter& w) const override { scheduler_->save_state(w); }
+  void load_state(common::BinaryReader& r) override { scheduler_->load_state(r); }
 
  private:
   std::unique_ptr<Scheduler> scheduler_;

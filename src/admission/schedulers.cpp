@@ -193,12 +193,8 @@ Allocation RandomScheduler::schedule(const BurstProblem& problem) {
   return alloc;
 }
 
-void RandomScheduler::save_state(common::BinaryWriter& w) const { rng_.save(w); }
-
-bool RandomScheduler::load_state(common::BinaryReader& r) {
-  rng_.load(r);
-  return r.ok();
-}
+void RandomScheduler::save_state(common::BinaryWriter& w) const { w(*this); }
+void RandomScheduler::load_state(common::BinaryReader& r) { r(*this); }
 
 const char* to_string(SchedulerKind k) {
   switch (k) {

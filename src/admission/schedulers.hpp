@@ -26,6 +26,11 @@
 #include "src/common/rng.hpp"
 #include "src/opt/branch_bound.hpp"
 
+namespace wcdma::common {
+class BinaryWriter;
+class BinaryReader;
+}  // namespace wcdma::common
+
 namespace wcdma::admission {
 
 /// The assembled per-frame scheduling problem for one link direction.
@@ -63,7 +68,7 @@ class Scheduler {
   /// Checkpoint hooks: only stochastic schedulers carry evolved state (the
   /// "random" baseline's RNG); deterministic solvers keep the empty default.
   virtual void save_state(common::BinaryWriter&) const {}
-  virtual bool load_state(common::BinaryReader&) { return true; }
+  virtual void load_state(common::BinaryReader&) {}
 };
 
 class JabaSdScheduler final : public Scheduler {
@@ -111,8 +116,12 @@ class RandomScheduler final : public Scheduler {
   explicit RandomScheduler(common::Rng rng) : rng_(rng) {}
   Allocation schedule(const BurstProblem& problem) override;
   std::string name() const override { return "Random"; }
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(rng_);
+  }
   void save_state(common::BinaryWriter& w) const override;
-  bool load_state(common::BinaryReader& r) override;
+  void load_state(common::BinaryReader& r) override;
 
  private:
   common::Rng rng_;

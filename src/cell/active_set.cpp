@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::cell {
 
@@ -182,26 +181,6 @@ double ActiveSet::reverse_adjustment() const {
   // Selection macro-diversity: two legs allow ~1 dB lower per-leg target.
   const double legs = static_cast<double>(std::min(members_.size(), config_.reduced_size));
   return legs > 1.0 ? 0.8 : 1.0;
-}
-
-void ActiveSet::save(common::BinaryWriter& w) const {
-  w.vec_f64(last_pilot_db_);
-  w.vec_f64(below_drop_s_);
-  w.u64(members_.size());
-  for (std::size_t m : members_) w.u64(m);
-  w.boolean(initialised_);
-}
-
-void ActiveSet::load(common::BinaryReader& r) {
-  std::vector<double> pilots, timers;
-  r.vec_f64(pilots);
-  r.vec_f64(timers);
-  if (pilots.size() == last_pilot_db_.size()) last_pilot_db_ = std::move(pilots);
-  if (timers.size() == below_drop_s_.size()) below_drop_s_ = std::move(timers);
-  const std::size_t n = r.seq(8);
-  members_.clear();
-  for (std::size_t i = 0; i < n; ++i) members_.push_back(static_cast<std::size_t>(r.u64()));
-  initialised_ = r.boolean();
 }
 
 }  // namespace wcdma::cell

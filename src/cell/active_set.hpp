@@ -14,11 +14,6 @@
 
 #include "src/common/assert.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::cell {
 
 struct ActiveSetConfig {
@@ -82,8 +77,13 @@ class ActiveSet {
 
   /// Checkpoint support: pilots, drop timers, membership.  Config and the
   /// pre-converted linear thresholds are rebuilt from SystemConfig.
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.fixed(last_pilot_db_);
+    ar.fixed(below_drop_s_);
+    ar.var(members_);
+    ar(initialised_);
+  }
 
   /// Forward-link power adjustment factor alpha^(FL): transmitting the SCH
   /// from every reduced-active-set leg costs this multiple of single-leg

@@ -18,6 +18,11 @@ namespace wcdma::cell {
 struct Point {
   double x = 0.0;
   double y = 0.0;
+
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(x, y);
+  }
 };
 
 inline Point operator+(Point a, Point b) { return {a.x + b.x, a.y + b.y}; }

@@ -1,20 +1,16 @@
 // User mobility models (the paper's dynamic simulation "takes into account
-// of the user mobility").  Random-waypoint is the primary model; a simple
-// direction-persistence random walk is provided for ablations; corridor
+// of the user mobility").  Random-waypoint is the primary model: users roam
+// a circular service region between uniformly drawn waypoints.  Corridor
 // mobility drives users along a road segment (directional motion with
-// wrap-around at the ends).  Disc-bounded models stay inside a circular
-// service region by reflecting at the boundary.
+// wrap-around at the ends).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "src/cell/geometry.hpp"
 #include "src/common/rng.hpp"
-
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
+#include "src/common/serialize.hpp"
 
 namespace wcdma::cell {
 
@@ -30,8 +26,6 @@ struct MobilityConfig {
   /// Centre of the circular service region.  Per-cell load scaling places
   /// each user in a disc around its home cell, not around the origin.
   Point region_center{};
-  // Random-walk only: mean time between direction changes.
-  double direction_hold_s = 10.0;
   // Corridor only: the road is the segment |x| <= half_length on the x-axis
   // (the row of cells through the origin), with lanes spread over
   // |y| <= half_width.  half_length <= 0 derives from region_radius_m.
@@ -47,12 +41,12 @@ class MobilityModel {
   virtual Point position() const = 0;
   virtual double speed_mps() const = 0;
 
-  /// Checkpoint support: each model serializes its evolved state (position,
-  /// waypoint/heading, RNG) behind a model tag.  The config itself is not
-  /// archived -- restore targets a model rebuilt from the same SystemConfig,
-  /// and the tag catches a kind mismatch.
-  virtual void save(common::BinaryWriter& w) const = 0;
-  virtual bool load(common::BinaryReader& r) = 0;
+  /// Checkpoint support: each model's io() serializes its evolved state
+  /// (position, waypoint/direction, RNG) behind a model tag.  The config
+  /// itself is not archived -- restore targets a model rebuilt from the same
+  /// SystemConfig, and the tag catches a kind mismatch.
+  virtual void save_state(common::BinaryWriter& w) const = 0;
+  virtual void load_state(common::BinaryReader& r) = 0;
 };
 
 class RandomWaypoint final : public MobilityModel {
@@ -63,8 +57,15 @@ class RandomWaypoint final : public MobilityModel {
   Point position() const override { return pos_; }
   double speed_mps() const override { return speed_; }
   Point waypoint() const { return target_; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
+
+  static constexpr std::uint8_t kTag = 1;  // archive tag; stable
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.expect(kTag);
+    ar(rng_, pos_, target_, speed_, pause_left_);
+  }
+  void save_state(common::BinaryWriter& w) const override { w(*this); }
+  void load_state(common::BinaryReader& r) override { r(*this); }
 
  private:
   void pick_waypoint();
@@ -75,25 +76,6 @@ class RandomWaypoint final : public MobilityModel {
   Point target_;
   double speed_ = 0.0;
   double pause_left_ = 0.0;
-};
-
-class RandomWalk final : public MobilityModel {
- public:
-  RandomWalk(const MobilityConfig& config, common::Rng rng);
-
-  double step(double dt) override;
-  Point position() const override { return pos_; }
-  double speed_mps() const override { return speed_; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
-
- private:
-  MobilityConfig config_;
-  common::Rng rng_;
-  Point pos_;
-  double heading_ = 0.0;
-  double speed_ = 0.0;
-  double hold_left_ = 0.0;
 };
 
 /// Directional line-segment motion for highway corridors: each user draws a
@@ -109,8 +91,15 @@ class CorridorMobility final : public MobilityModel {
   Point position() const override { return pos_; }
   double speed_mps() const override { return speed_; }
   int direction() const { return dir_; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
+
+  static constexpr std::uint8_t kTag = 3;  // archive tag; stable (2, 4 retired)
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.expect(kTag);
+    ar(rng_, pos_, dir_, speed_);
+  }
+  void save_state(common::BinaryWriter& w) const override { w(*this); }
+  void load_state(common::BinaryReader& r) override { r(*this); }
 
  private:
   MobilityConfig config_;
@@ -119,20 +108,6 @@ class CorridorMobility final : public MobilityModel {
   double half_length_m_ = 0.0;
   int dir_ = 1;  // +1 = towards +x, -1 = towards -x
   double speed_ = 0.0;
-};
-
-/// Stationary user (for coverage sweeps that pin users at given radii).
-class FixedPosition final : public MobilityModel {
- public:
-  explicit FixedPosition(Point p) : pos_(p) {}
-  double step(double) override { return 0.0; }
-  Point position() const override { return pos_; }
-  double speed_mps() const override { return 0.0; }
-  void save(common::BinaryWriter& w) const override;
-  bool load(common::BinaryReader& r) override;
-
- private:
-  Point pos_;
 };
 
 /// Builds the model selected by `config.kind` (the simulator's factory).

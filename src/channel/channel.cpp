@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::channel {
 
@@ -60,19 +59,6 @@ void CsiFeedback::push(double csi_linear) {
 double CsiFeedback::current() const {
   WCDMA_ASSERT(!pipe_.empty());
   return pipe_.front();
-}
-
-void CsiFeedback::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.u64(pipe_.size());
-  for (double v : pipe_) w.f64(v);
-}
-
-void CsiFeedback::load(common::BinaryReader& r) {
-  rng_.load(r);
-  const std::size_t n = r.seq(sizeof(double));
-  pipe_.clear();
-  for (std::size_t i = 0; i < n; ++i) pipe_.push_back(r.f64());
 }
 
 }  // namespace wcdma::channel

@@ -14,11 +14,6 @@
 #include "src/channel/shadowing.hpp"
 #include "src/common/rng.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::channel {
 
 enum class FadingKind { kJakes, kAr1, kNone };
@@ -80,8 +75,11 @@ class CsiFeedback {
   bool primed() const { return pipe_.size() > delay_frames_; }
 
   /// Checkpoint support: the delay pipe contents plus the error-draw RNG.
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(rng_);
+    ar.var(pipe_);
+  }
 
  private:
   std::size_t delay_frames_;

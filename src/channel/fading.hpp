@@ -43,8 +43,10 @@ class JakesFading final : public FadingProcess {
 
   /// Checkpoint support: the process is a deterministic function of time
   /// given its (init-time) random phases, so only the clock round-trips.
-  double time_s() const { return t_; }
-  void set_time_s(double t) { t_ = t; }
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(t_);
+  }
 
  private:
   double doppler_hz_;

@@ -3,21 +3,8 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::common {
-
-void Rng::save(BinaryWriter& w) const {
-  for (std::uint64_t word : s_) w.u64(word);
-  w.f64(spare_normal_);
-  w.boolean(has_spare_);
-}
-
-void Rng::load(BinaryReader& r) {
-  for (std::uint64_t& word : s_) word = r.u64();
-  spare_normal_ = r.f64();
-  has_spare_ = r.boolean();
-}
 
 std::uint64_t SplitMix64::next() {
   std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);

@@ -16,9 +16,6 @@
 
 namespace wcdma::common {
 
-class BinaryWriter;
-class BinaryReader;
-
 namespace detail {
 inline std::uint64_t rotl64(std::uint64_t x, int k) {
   return (x << k) | (x >> (64 - k));
@@ -88,8 +85,10 @@ class Rng {
   /// Checkpoint support: the full generator state (four Xoshiro words plus
   /// the cached Box-Muller spare -- dropping the spare would shift every
   /// subsequent normal() draw by one).
-  void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(s_[0], s_[1], s_[2], s_[3], spare_normal_, has_spare_);
+  }
 
  private:
   std::array<std::uint64_t, 4> s_{};

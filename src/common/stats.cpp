@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::common {
 
@@ -40,34 +39,6 @@ double StreamingMoments::variance() const {
 }
 
 double StreamingMoments::stddev() const { return std::sqrt(variance()); }
-
-void StreamingMoments::save(BinaryWriter& w) const {
-  w.u64(static_cast<std::uint64_t>(n_));
-  w.f64(mean_);
-  w.f64(m2_);
-  w.f64(min_);
-  w.f64(max_);
-}
-
-void StreamingMoments::load(BinaryReader& r) {
-  n_ = static_cast<std::size_t>(r.u64());
-  mean_ = r.f64();
-  m2_ = r.f64();
-  min_ = r.f64();
-  max_ = r.f64();
-}
-
-void Histogram::save(BinaryWriter& w) const {
-  w.vec_u64(counts_);
-  w.u64(static_cast<std::uint64_t>(total_));
-}
-
-void Histogram::load(BinaryReader& r) {
-  std::vector<std::uint64_t> counts;
-  r.vec_u64(counts);
-  if (counts.size() == counts_.size()) counts_ = std::move(counts);
-  total_ = static_cast<std::size_t>(r.u64());
-}
 
 Histogram::Histogram(double lo, double hi, std::size_t bins)
     : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(bins)), counts_(bins, 0) {

@@ -20,17 +20,16 @@
 
 namespace wcdma::common {
 
-class BinaryWriter;
-class BinaryReader;
-
 /// Numerically-stable streaming mean/variance (Welford).  Mergeable, so
 /// per-thread accumulators can be combined deterministically.
 class StreamingMoments {
  public:
   void add(double x);
   void merge(const StreamingMoments& other);
-  void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(n_, mean_, m2_, min_, max_);
+  }
 
   std::size_t count() const { return n_; }
   double mean() const { return n_ ? mean_ : 0.0; }
@@ -58,8 +57,11 @@ class Histogram {
   void add(double x);
   void merge(const Histogram& other);
   /// Bin geometry is fixed by the constructor; only counts round-trip.
-  void save(BinaryWriter& w) const;
-  void load(BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.fixed(counts_);
+    ar(total_);
+  }
 
   std::size_t count() const { return total_; }
   /// Value at quantile q in [0,1], linearly interpolated within the bin.

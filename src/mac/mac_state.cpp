@@ -1,7 +1,5 @@
 #include "src/mac/mac_state.hpp"
 
-#include "src/common/serialize.hpp"
-
 namespace wcdma::mac {
 
 const char* to_string(MacState s) {
@@ -59,16 +57,6 @@ double MacStateMachine::setup_delay() const {
       return timers_.d2_s;
   }
   return 0.0;
-}
-
-void MacStateMachine::save(common::BinaryWriter& w) const {
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.f64(idle_s_);
-}
-
-void MacStateMachine::load(common::BinaryReader& r) {
-  state_ = static_cast<MacState>(r.u8());
-  idle_s_ = r.f64();
 }
 
 }  // namespace wcdma::mac

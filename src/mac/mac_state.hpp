@@ -14,11 +14,6 @@
 
 #include "src/common/assert.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::mac {
 
 enum class MacState { kActive, kControlHold, kSuspended, kDormant };
@@ -55,8 +50,11 @@ class MacStateMachine {
   /// Set-up delay a freshly granted burst pays from the *current* state.
   double setup_delay() const;
 
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.u8(state_);
+    ar(idle_s_);
+  }
 
  private:
   MacTimersConfig timers_;

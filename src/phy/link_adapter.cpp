@@ -1,7 +1,6 @@
 #include "src/phy/link_adapter.hpp"
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::phy {
 
@@ -29,9 +28,6 @@ FrameOutcome LinkAdapter::on_frame(double true_csi) {
 double LinkAdapter::expected_throughput(double mean_csi) const {
   return policy_->avg_throughput_rayleigh(mean_csi);
 }
-
-void LinkAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }
-void LinkAdapter::load(common::BinaryReader& r) { feedback_.load(r); }
 
 FixedRateAdapter::FixedRateAdapter(const AdaptationPolicy* policy, int fixed_mode,
                                    std::size_t feedback_delay_frames,
@@ -63,8 +59,5 @@ FrameOutcome FixedRateAdapter::on_frame(double true_csi) {
 double FixedRateAdapter::expected_throughput(double mean_csi) const {
   return policy_->fixed_mode_avg_throughput_rayleigh(mean_csi, fixed_mode_);
 }
-
-void FixedRateAdapter::save(common::BinaryWriter& w) const { feedback_.save(w); }
-void FixedRateAdapter::load(common::BinaryReader& r) { feedback_.load(r); }
 
 }  // namespace wcdma::phy

@@ -11,11 +11,6 @@
 #include "src/common/rng.hpp"
 #include "src/phy/adaptation.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::phy {
 
 /// Outcome of one frame of SCH transmission for one user.
@@ -44,8 +39,10 @@ class LinkAdapter {
   const AdaptationPolicy& policy() const { return *policy_; }
 
   /// Checkpoint support: only the feedback pipe evolves.
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(feedback_);
+  }
 
  private:
   const AdaptationPolicy* policy_;  // not owned
@@ -68,8 +65,10 @@ class FixedRateAdapter {
 
   int fixed_mode() const { return fixed_mode_; }
 
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(feedback_);
+  }
 
  private:
   const AdaptationPolicy* policy_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "src/common/serialize.hpp"
-
 namespace wcdma::power {
 
 namespace {
@@ -59,20 +57,6 @@ OuterLoopPowerControl::OuterLoopPowerControl(double initial_target_db, double fe
       min_db_(min_db),
       max_db_(max_db) {
   WCDMA_ASSERT(fer_target > 0.0 && fer_target < 1.0);
-}
-
-void ClosedLoopPowerControl::save(common::BinaryWriter& w) const {
-  w.f64(power_dbm_);
-  w.f64(power_watt_);
-  w.f64(target_sir_db_);
-  w.boolean(saturated_);
-}
-
-void ClosedLoopPowerControl::load(common::BinaryReader& r) {
-  power_dbm_ = r.f64();
-  power_watt_ = r.f64();
-  target_sir_db_ = r.f64();
-  saturated_ = r.boolean();
 }
 
 double OuterLoopPowerControl::on_frame(bool frame_error) {

@@ -12,11 +12,6 @@
 
 #include "src/common/assert.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::power {
 
 struct PowerControlConfig {
@@ -60,8 +55,10 @@ class ClosedLoopPowerControl {
 
   /// Checkpoint support: the cached wattage round-trips bit-exactly too, so
   /// a restored loop never re-derives it through pow().
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(power_dbm_, power_watt_, target_sir_db_, saturated_);
+  }
 
  private:
   static double to_watt(double dbm);

@@ -13,55 +13,11 @@ constexpr std::uint32_t kResultMagic = 0x53525357;      // "WSRS" little-endian
 constexpr std::uint32_t kResultVersion = 1;
 constexpr std::uint32_t kCheckpointMagic = 0x43525357;  // "WSRC" little-endian
 constexpr std::uint32_t kCheckpointVersion = 1;
-constexpr std::size_t kFooterBytes = 4;
-
-void write_header(common::BinaryWriter& w, const ShardHeader& h) {
-  w.u64(h.shard);
-  w.u64(h.workers);
-  w.u64(h.item_begin);
-  w.u64(h.item_end);
-  w.u64(h.master_seed);
-}
-
-ShardHeader read_header(common::BinaryReader& r) {
-  ShardHeader h;
-  h.shard = r.u64();
-  h.workers = r.u64();
-  h.item_begin = r.u64();
-  h.item_end = r.u64();
-  h.master_seed = r.u64();
-  return h;
-}
 
 bool fail(std::string* error, const std::string& message) {
   if (error) *error = message;
   return false;
 }
-
-/// Footer + magic/version gate shared by both decoders; on success `r` is
-/// positioned after the version field and covers the payload only.
-bool open_archive(const std::vector<std::uint8_t>& bytes, std::uint32_t magic,
-                  std::uint32_t version, const char* what,
-                  common::BinaryReader* reader, std::string* error) {
-  if (bytes.size() <= kFooterBytes) {
-    return fail(error, std::string(what) + " truncated below the crc footer");
-  }
-  const std::size_t payload = bytes.size() - kFooterBytes;
-  std::uint32_t stored = 0;
-  for (std::size_t i = 0; i < kFooterBytes; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[payload + i]) << (8 * i);
-  }
-  if (common::crc32(bytes.data(), payload) != stored) {
-    return fail(error, std::string(what) + " failed its crc32 check");
-  }
-  *reader = common::BinaryReader(bytes.data(), payload);
-  if (reader->u32() != magic || reader->u32() != version) {
-    return fail(error, std::string(what) + " has a wrong magic/version");
-  }
-  return true;
-}
-
-void seal(common::BinaryWriter& w) { w.u32(common::crc32(w.bytes())); }
 
 }  // namespace
 
@@ -112,13 +68,11 @@ bool write_file_atomic(const std::string& path,
 std::vector<std::uint8_t> encode_shard_result(
     const ShardHeader& header, const std::vector<sim::SimMetrics>& items) {
   WCDMA_ASSERT(items.size() == header.item_end - header.item_begin);
-  common::BinaryWriter w;
-  w.u32(kResultMagic);
-  w.u32(kResultVersion);
-  write_header(w, header);
-  for (const sim::SimMetrics& m : items) m.save(w);
-  seal(w);
-  return w.take();
+  return common::seal(kResultMagic, kResultVersion,
+                      [&](common::BinaryWriter& w) {
+                        w(header);
+                        for (const sim::SimMetrics& m : items) w(m);
+                      });
 }
 
 bool decode_shard_result(const std::vector<std::uint8_t>& bytes,
@@ -126,26 +80,27 @@ bool decode_shard_result(const std::vector<std::uint8_t>& bytes,
                          std::vector<sim::SimMetrics>* items,
                          std::string* error) {
   items->clear();
-  common::BinaryReader r(nullptr, 0);
-  if (!open_archive(bytes, kResultMagic, kResultVersion, "result file", &r,
-                    error)) {
-    return false;
+  common::BinaryReader r;
+  if (const char* why = common::unseal(bytes, kResultMagic, kResultVersion, &r)) {
+    return fail(error, std::string("result file ") + why);
   }
-  const ShardHeader h = read_header(r);
+  ShardHeader h;
+  r(h);
   if (!r.ok() || !(h == expect)) {
     return fail(error, "result file belongs to a different shard/run");
   }
   const std::size_t count = expect.item_end - expect.item_begin;
   items->resize(count);
   for (std::size_t i = 0; i < count; ++i) {
-    if (!(*items)[i].load(r)) {
+    r((*items)[i]);
+    if (!r.ok()) {
       items->clear();
       return fail(error,
                   "result file item " + std::to_string(expect.item_begin + i) +
                       " failed to decode");
     }
   }
-  if (!r.ok() || !r.at_end()) {
+  if (!r.at_end()) {
     items->clear();
     return fail(error, "result file has trailing or missing payload");
   }
@@ -156,48 +111,41 @@ std::vector<std::uint8_t> encode_shard_checkpoint(const ShardCheckpoint& ck) {
   WCDMA_ASSERT(ck.next_item >= ck.header.item_begin &&
                ck.next_item <= ck.header.item_end);
   WCDMA_ASSERT(ck.completed.size() == ck.next_item - ck.header.item_begin);
-  common::BinaryWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
-  write_header(w, ck.header);
-  w.u64(ck.next_item);
-  for (const sim::SimMetrics& m : ck.completed) m.save(w);
-  w.u64(ck.snapshot.size());
-  for (std::uint8_t b : ck.snapshot) w.u8(b);
-  seal(w);
-  return w.take();
+  return common::seal(kCheckpointMagic, kCheckpointVersion,
+                      [&](common::BinaryWriter& w) {
+                        w(ck.header, ck.next_item);
+                        for (const sim::SimMetrics& m : ck.completed) w(m);
+                        w.blob(ck.snapshot);
+                      });
 }
 
 bool decode_shard_checkpoint(const std::vector<std::uint8_t>& bytes,
                              const ShardHeader& expect, ShardCheckpoint* out,
                              std::string* error) {
   *out = ShardCheckpoint{};
-  common::BinaryReader r(nullptr, 0);
-  if (!open_archive(bytes, kCheckpointMagic, kCheckpointVersion, "checkpoint",
-                    &r, error)) {
-    return false;
+  common::BinaryReader r;
+  if (const char* why =
+          common::unseal(bytes, kCheckpointMagic, kCheckpointVersion, &r)) {
+    return fail(error, std::string("checkpoint ") + why);
   }
-  const ShardHeader h = read_header(r);
-  if (!r.ok() || !(h == expect)) {
+  r(out->header);
+  if (!r.ok() || !(out->header == expect)) {
     return fail(error, "checkpoint belongs to a different shard/run");
   }
-  out->header = h;
-  out->next_item = r.u64();
+  const ShardHeader& h = out->header;
+  r(out->next_item);
   if (!r.ok() || out->next_item < h.item_begin || out->next_item > h.item_end) {
     return fail(error, "checkpoint progress cursor is out of range");
   }
-  const std::size_t completed =
-      static_cast<std::size_t>(out->next_item - h.item_begin);
-  out->completed.resize(completed);
-  for (std::size_t i = 0; i < completed; ++i) {
-    if (!out->completed[i].load(r)) {
+  out->completed.resize(static_cast<std::size_t>(out->next_item - h.item_begin));
+  for (std::size_t i = 0; i < out->completed.size(); ++i) {
+    r(out->completed[i]);
+    if (!r.ok()) {
       return fail(error, "checkpoint item " + std::to_string(h.item_begin + i) +
                              " failed to decode");
     }
   }
-  const std::size_t snap_len = r.seq(1);
-  out->snapshot.resize(snap_len);
-  for (std::size_t i = 0; i < snap_len; ++i) out->snapshot[i] = r.u8();
+  r.blob(out->snapshot);
   if (!r.ok() || !r.at_end()) {
     return fail(error, "checkpoint has trailing or missing payload");
   }

@@ -55,6 +55,10 @@ struct ShardHeader {
            item_begin == o.item_begin && item_end == o.item_end &&
            master_seed == o.master_seed;
   }
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(shard, workers, item_begin, item_end, master_seed);
+  }
 };
 
 /// Whole-file read; false on any I/O error.

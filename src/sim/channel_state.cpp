@@ -93,34 +93,15 @@ class CulledChannelProvider final : public ChannelStateProvider {
 
   std::string name() const override { return fast_math_ ? "fast" : "culled"; }
 
-  void save_state(common::BinaryWriter& w) const override {
-    w.u64(epoch_.load(std::memory_order_relaxed));
-    w.vec_f64(refresh_left_s_);
-    w.u64(candidates_.size());
-    for (const std::vector<std::size_t>& c : candidates_) {
-      w.u64(c.size());
-      for (std::size_t k : c) w.u32(static_cast<std::uint32_t>(k));
-    }
+  /// One timer per user (fixed shape); candidate cells stored as u32.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.u64(epoch_);
+    ar.fixed(refresh_left_s_);
+    ar.fixed(candidates_, [&](auto& c) { ar.var(c, 4, [&](auto& k) { ar.u32(k); }); });
   }
-
-  bool load_state(common::BinaryReader& r) override {
-    const std::uint64_t epoch = r.u64();
-    std::vector<double> timers;
-    r.vec_f64(timers);
-    if (!r.ok() || timers.size() != refresh_left_s_.size()) return false;
-    if (r.seq(8) != candidates_.size()) return false;
-    std::vector<std::vector<std::size_t>> cand(candidates_.size());
-    for (std::vector<std::size_t>& c : cand) {
-      const std::size_t n = r.seq(4);
-      c.reserve(n);
-      for (std::size_t i = 0; i < n && r.ok(); ++i) c.push_back(r.u32());
-    }
-    if (!r.ok()) return false;
-    epoch_.store(epoch, std::memory_order_relaxed);
-    refresh_left_s_ = std::move(timers);
-    candidates_ = std::move(cand);
-    return true;
-  }
+  void save_state(common::BinaryWriter& w) const override { w(*this); }
+  void load_state(common::BinaryReader& r) override { r(*this); }
 
  private:
   void refresh(std::size_t user, cell::Point pos, const ChannelUserView& view) {

@@ -87,11 +87,10 @@ class ChannelStateProvider {
   virtual std::string name() const = 0;
 
   /// Checkpoint hooks: providers with evolved state (candidate sets,
-  /// refresh timers, epochs) serialize it here.  The exhaustive reference
-  /// is stateless beyond init, so the defaults are empty archives that
-  /// always restore.
+  /// refresh timers, epochs) forward to their io().  The exhaustive
+  /// reference is stateless beyond init, so the defaults are empty.
   virtual void save_state(common::BinaryWriter&) const {}
-  virtual bool load_state(common::BinaryReader&) { return true; }
+  virtual void load_state(common::BinaryReader&) {}
 };
 
 // --- Registry: string-keyed factories --------------------------------------

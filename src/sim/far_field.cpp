@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 #include "src/sim/frame_state.hpp"
 
 namespace wcdma::sim {
@@ -152,49 +151,15 @@ void FarFieldAggregator::refresh(FrameState& state, const std::uint32_t* anchor,
   for (double& w : reverse_far_w_) w = w > 0.0 ? w : 0.0;
 }
 
-void FarFieldAggregator::save(common::BinaryWriter& w) const {
-  w.boolean(active_);
-  if (!active_) return;
-  w.vec_f64(tx_sum_);
-  w.vec_f64(applied_tx_w_);
-  w.vec_i32(applied_carrier_);
-  w.vec_u32(applied_anchor_);
-  w.vec_f64(reverse_far_w_);
-}
-
-bool FarFieldAggregator::load(common::BinaryReader& r) {
-  // Activity is decided at init from the config + provider; a snapshot
-  // taken under a different far-field mode is not restorable.
-  if (r.boolean() != active_) return false;
-  if (!active_) return r.ok();
-  std::vector<double> tx, applied_tx, rev;
-  std::vector<int> carrier;
-  std::vector<std::uint32_t> anchor;
-  r.vec_f64(tx);
-  r.vec_f64(applied_tx);
-  r.vec_i32(carrier);
-  r.vec_u32(anchor);
-  r.vec_f64(rev);
-  if (!r.ok() || tx.size() != tx_sum_.size() ||
-      applied_tx.size() != applied_tx_w_.size() ||
-      carrier.size() != applied_carrier_.size() ||
-      anchor.size() != applied_anchor_.size() ||
-      rev.size() != reverse_far_w_.size()) {
-    return false;
-  }
-  tx_sum_ = std::move(tx);
-  applied_tx_w_ = std::move(applied_tx);
-  applied_carrier_ = std::move(carrier);
-  applied_anchor_ = std::move(anchor);
-  reverse_far_w_ = std::move(rev);
-  return true;
-}
-
 bool FarFieldAggregator::tx_buckets_match_rebuild(double rel_tol) const {
   if (!active_) return true;
   std::vector<double> rebuilt(tx_sum_.size(), 0.0);
   double total_w = 0.0;
   for (std::size_t i = 0; i < num_users_; ++i) {
+    if (applied_anchor_[i] >= num_cells_ || applied_carrier_[i] < 0 ||
+        applied_carrier_[i] >= carriers_) {
+      return false;  // a bucket key no live user could have produced
+    }
     rebuilt[bucket_index(applied_anchor_[i], applied_carrier_[i])] +=
         applied_tx_w_[i];
     total_w += applied_tx_w_[i];

@@ -56,11 +56,6 @@
 #include "src/channel/shadowing.hpp"
 #include "src/sim/config.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::sim {
 
 class FrameState;
@@ -106,15 +101,27 @@ class FarFieldAggregator {
 
   /// Cross-checks the incrementally maintained TX buckets against a
   /// rebuild-from-scratch over the applied per-user states: the O(1) deltas
-  /// may only drift from the batch sum by floating-point residue.  Test
-  /// hook for the bucket-maintenance regression suite.
+  /// may only drift from the batch sum by floating-point residue, and every
+  /// applied (anchor, carrier) key must name a real bucket.  Test hook for
+  /// the bucket-maintenance regression suite and part of
+  /// Simulator::check_invariants().
   bool tx_buckets_match_rebuild(double rel_tol) const;
 
   /// Serializes the evolved state (TX buckets, applied per-user deltas,
   /// refresh outputs); ring geometry is reproduced by init() on the same
-  /// config.  Inactive aggregators round-trip as a single flag.
-  void save(common::BinaryWriter& w) const;
-  bool load(common::BinaryReader& r);
+  /// config.  Inactive aggregators round-trip as a single flag; activity is
+  /// decided at init from the config + provider, so a snapshot taken under
+  /// a different far-field mode is not restorable.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.expect(active_);
+    if (!active_) return;
+    ar.fixed(tx_sum_);
+    ar.fixed(applied_tx_w_);
+    ar.fixed(applied_carrier_);
+    ar.fixed(applied_anchor_);
+    ar.fixed(reverse_far_w_);
+  }
 
  private:
   double gain_of(std::size_t anchor, std::size_t cell) const {

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/common/fastmath.hpp"
-#include "src/common/serialize.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sim/kernels.hpp"
 
@@ -238,90 +237,26 @@ void FrameState::refresh_candidate_index(const ChannelStateProvider& provider) {
   transpose_offsets_.pop_back();
 }
 
-namespace {
-
-void save_rngs(common::BinaryWriter& w, const std::vector<common::Rng>& v) {
-  w.u64(v.size());
-  for (const common::Rng& r : v) r.save(w);
-}
-
-bool load_rngs(common::BinaryReader& r, std::vector<common::Rng>& v) {
-  // Streams are sized at init from the layout; a snapshot from a different
-  // world shape must not resize them.
-  if (r.seq(8) != v.size()) return false;
-  for (common::Rng& x : v) x.load(r);
-  return r.ok();
-}
-
-bool load_sized_f64(common::BinaryReader& r, std::vector<double>& v) {
-  std::vector<double> tmp;
-  r.vec_f64(tmp);
-  if (!r.ok() || tmp.size() != v.size()) return false;
-  v = std::move(tmp);
-  return true;
-}
-
-bool load_sized_i64(common::BinaryReader& r, std::vector<std::int64_t>& v) {
-  std::vector<std::int64_t> tmp;
-  r.vec_i64(tmp);
-  if (!r.ok() || tmp.size() != v.size()) return false;
-  v = std::move(tmp);
-  return true;
-}
-
-}  // namespace
-
-void FrameState::save(common::BinaryWriter& w) const {
-  w.i64(frame_);
-  save_rngs(w, shadow_rng_);
-  w.vec_f64(shadow_db_);
-  save_rngs(w, fast_shadow_rng_);
-  save_rngs(w, fade_rng_);
-  w.vec_f64(fade_re_);
-  w.vec_f64(fade_im_);
-  w.vec_i64(fade_frame_);
-  // Jakes state is a deterministic function of time given the init-time
-  // phases, so the time offset is the whole evolved state.
-  w.u64(jakes_.size());
-  for (const channel::JakesFading& j : jakes_) w.f64(j.time_s());
-  w.vec_i64(jakes_frame_);
-  w.vec_f64(gain_mean_);
-  w.vec_f64(pilot_fl_);
-  w.vec_f64(far_fl_w_);
-  w.vec_u32(csr_offsets_);
-  w.vec_u32(csr_cells_);
-  w.vec_u32(transpose_offsets_);
-  w.vec_u32(transpose_users_);
-  w.u64(candidate_epoch_);
-}
-
-bool FrameState::load(common::BinaryReader& r) {
-  frame_ = r.i64();
-  if (!load_rngs(r, shadow_rng_)) return false;
-  if (!load_sized_f64(r, shadow_db_)) return false;
-  if (!load_rngs(r, fast_shadow_rng_)) return false;
-  if (!load_rngs(r, fade_rng_)) return false;
-  if (!load_sized_f64(r, fade_re_)) return false;
-  if (!load_sized_f64(r, fade_im_)) return false;
-  if (!load_sized_i64(r, fade_frame_)) return false;
-  if (r.seq(8) != jakes_.size()) return false;
-  for (channel::JakesFading& j : jakes_) j.set_time_s(r.f64());
-  if (!load_sized_i64(r, jakes_frame_)) return false;
-  if (!load_sized_f64(r, gain_mean_)) return false;
-  if (!load_sized_f64(r, pilot_fl_)) return false;
-  if (!load_sized_f64(r, far_fl_w_)) return false;
-  // The CSR index is variable-sized (it tracks candidate sets); it is
-  // restored wholesale together with the epoch it was built for.
-  r.vec_u32(csr_offsets_);
-  r.vec_u32(csr_cells_);
-  r.vec_u32(transpose_offsets_);
-  r.vec_u32(transpose_users_);
-  candidate_epoch_ = r.u64();
-  return r.ok();
-}
-
 bool FrameState::candidate_index_matches(const ChannelStateProvider& provider) const {
-  if (csr_offsets_.size() != num_users_ + 1) return false;
+  // A never-built index (fresh world) is built before its first use.
+  if (candidate_epoch_ == ~std::uint64_t{0} && csr_offsets_.empty() &&
+      csr_cells_.empty() && transpose_offsets_.empty() && transpose_users_.empty()) {
+    return true;
+  }
+  if (candidate_epoch_ != provider.candidate_epoch()) return false;
+  // Structure before content: a restored index must not be walked out of
+  // range by the comparison itself.
+  if (csr_offsets_.size() != num_users_ + 1 ||
+      transpose_offsets_.size() != num_cells_ + 1 ||
+      !std::is_sorted(csr_offsets_.begin(), csr_offsets_.end()) ||
+      !std::is_sorted(transpose_offsets_.begin(), transpose_offsets_.end()) ||
+      csr_offsets_.back() != csr_cells_.size() ||
+      transpose_offsets_.back() != transpose_users_.size()) {
+    return false;
+  }
+  for (const std::uint32_t u : transpose_users_) {
+    if (u >= num_users_) return false;
+  }
   std::size_t transpose_total = 0;
   for (std::size_t u = 0; u < num_users_; ++u) {
     const std::vector<std::size_t>& live = provider.cells_for(u);

@@ -138,21 +138,43 @@ class FrameState {
     return transpose_offsets_[cell + 1] - transpose_offsets_[cell];
   }
 
-  /// Cross-checks the CSR candidate index (and its transpose sizing)
-  /// against the provider's live per-user candidate sets: the
-  /// candidate-epoch contract says they may only disagree if the provider
-  /// changed a set without moving its epoch.  Test/debug hook for the
-  /// epoch regression suite; O(users x candidates).
+  /// Cross-checks the CSR candidate index (its epoch, offsets, and
+  /// transpose sizing) against the provider's live per-user candidate sets:
+  /// the candidate-epoch contract says they may only disagree if the
+  /// provider changed a set without moving its epoch.  A never-built index
+  /// passes.  Hook for the epoch regression suite and part of
+  /// Simulator::check_invariants(); O(users x candidates).
   bool candidate_index_matches(const ChannelStateProvider& provider) const;
 
   /// Serializes the evolved state only: frame clock, shadowing/fading RNG
   /// streams and lanes, Jakes time offsets, cached gains/pilots, far-field
   /// lane, and the CSR candidate index.  Init-time state (geometry tables,
   /// Jakes phases, fast-math fold constants) is reproduced by re-running
-  /// init()/init_user() on the same config, so load() overwrites only what
+  /// init()/init_user() on the same config, so a load overwrites only what
   /// evolves and size-checks every lane against the initialised layout.
-  void save(common::BinaryWriter& w) const;
-  bool load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(frame_);
+    ar.fixed(shadow_rng_);
+    ar.fixed(shadow_db_);
+    ar.fixed(fast_shadow_rng_);
+    ar.fixed(fade_rng_);
+    ar.fixed(fade_re_);
+    ar.fixed(fade_im_);
+    ar.fixed(fade_frame_);
+    ar.fixed(jakes_);
+    ar.fixed(jakes_frame_);
+    ar.fixed(gain_mean_);
+    ar.fixed(pilot_fl_);
+    ar.fixed(far_fl_w_);
+    // The CSR index tracks candidate sets, so its shape evolves; it is
+    // restored wholesale together with the epoch it was built for.
+    ar.var(csr_offsets_);
+    ar.var(csr_cells_);
+    ar.var(transpose_offsets_);
+    ar.var(transpose_users_);
+    ar(candidate_epoch_);
+  }
 
  private:
   void step_user_links_fast(std::size_t user, cell::Point pos, double moved_m,

@@ -8,11 +8,6 @@
 
 #include "src/common/stats.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::sim {
 
 inline constexpr std::size_t kCoverageBins = 12;
@@ -63,8 +58,18 @@ struct SimMetrics {
 
   /// Checkpoint serialization: every accumulator round-trips bit-exactly so
   /// a resumed run's final metrics equal the uninterrupted run's.
-  void save(common::BinaryWriter& w) const;
-  bool load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(burst_delay_s, delay_hist, queue_delay_s, granted_sgr,
+       data_bits_delivered, observed_s);
+    ar.fixed(delay_by_distance);
+    ar(sch_frames, sch_outage_frames, ber_violation_frames);
+    ar.fixed(mode_frames);
+    ar(requests_seen, grants, reject_rounds, carrier_hand_downs,
+       pending_queue_len, forward_load_fraction, reverse_rise_db,
+       bs_power_saturations, mobile_power_saturations, voice_sir_error_db,
+       overload_sheds);
+  }
 
   double mean_delay_s() const { return burst_delay_s.mean(); }
   double p95_delay_s() const { return delay_hist.percentile(0.95); }

@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::sim {
 
@@ -68,14 +67,10 @@ class RequestQueues {
 
   int carriers() const { return carriers_; }
 
-  void save(common::BinaryWriter& w) const {
-    w.u64(buckets_.size());
-    for (const std::vector<int>& b : buckets_) w.vec_i32(b);
-  }
-  bool load(common::BinaryReader& r) {
-    if (r.seq(8) != buckets_.size()) return false;  // shape fixed at init
-    for (std::vector<int>& b : buckets_) r.vec_i32(b);
-    return r.ok();
+  /// The bucket count is fixed at init; bucket contents evolve.
+  template <class Ar>
+  void io(Ar& ar) {
+    ar.fixed(buckets_, [&](auto& b) { ar.var(b); });
   }
 
  private:

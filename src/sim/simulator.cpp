@@ -994,190 +994,91 @@ constexpr std::uint32_t kSnapshotMagic = 0x504E5357;  // "WSNP" little-endian
 // v2: trailing crc32 footer over the whole payload (header included), so a
 // bit-flipped checkpoint is refused by checksum instead of parse luck.
 constexpr std::uint32_t kSnapshotVersion = 2;
-constexpr std::size_t kSnapshotFooterBytes = 4;
 }  // namespace
 
-std::vector<std::uint8_t> Simulator::snapshot() const {
-  validate_invariants();
-  common::BinaryWriter w;
-  w.u32(kSnapshotMagic);
-  w.u32(kSnapshotVersion);
+template <class Ar>
+void Simulator::io_header(Ar& ar) {
   // Config fingerprint: restore() only accepts archives taken from a
   // simulator built on the same world shape, seed, and policy stack --
   // everything else about the config is reproduced by construction.
-  w.u64(config_.seed);
-  w.u64(users_.size());
-  w.u64(layout_.num_cells());
-  w.i32(config_.placement.carriers);
-  w.f64(config_.frame_s);
-  w.str(admission_policy_name_);
-  w.str(csi_->name());
-
-  w.f64(now_s_);
-  w.i64(frame_count_);
-  w.f64(far_refresh_left_s_);
-  rng_.save(w);
-
-  w.u64(stations_.size());
-  for (const BaseStation& bs : stations_) {
-    w.f64(bs.forward_w);
-    w.f64(bs.prev_forward_w);
-    w.f64(bs.received_w);
-  }
-  w.vec_f64(prev_tx_w_);
-  w.vec_i32(user_carrier_);
-  w.vec_f64(injected_bits_);
-  queues_.save(w);
-
-  w.u64(users_.size());
-  for (const User& u : users_) {
-    w.i32(u.carrier);
-    u.mobility->save(w);
-    u.active_set.save(w);
-    u.fl_pc.save(w);
-    u.rl_pc.save(w);
-    if (u.voice) u.voice->save(w);
-    if (u.data) u.data->save(w);
-    u.mac.save(w);
-    if (u.adapter) u.adapter->save(w);
-    if (u.fixed) u.fixed->save(w);
-    w.boolean(u.voice_active);
-    w.boolean(u.fch_on);
-    w.boolean(u.has_pending);
-    w.f64(u.pending_bits);
-    w.f64(u.pending_arrival_s);
-    w.f64(u.next_eligible_s);
-    w.boolean(u.burst.active);
-    w.i32(u.burst.m);
-    w.f64(u.burst.remaining_bits);
-    w.f64(u.burst.arrival_s);
-    w.f64(u.burst.setup_left_s);
-    w.u64(u.burst.distance_bin);
-    w.f64(u.fwd_interference_w);
-    w.f64(u.fwd_interference_eff_w);
-    w.f64(u.fch_sir_linear);
-  }
-
-  state_.save(w);
-  far_field_.save(w);
-  csi_->save_state(w);
-  admission_policy_->save_state(w);
-  metrics_.save(w);
-  const std::uint32_t crc = common::crc32(w.bytes());
-  w.u32(crc);
-  return w.take();
+  ar.expect(config_.seed);
+  ar.expect(users_.size());
+  ar.expect(layout_.num_cells());
+  ar.expect(config_.placement.carriers);
+  ar.expect(config_.frame_s);
+  ar.expect(admission_policy_name_);
+  ar.expect(csi_->name());
 }
 
-bool Simulator::check_snapshot_header(common::BinaryReader& r) const {
-  if (r.u32() != kSnapshotMagic || r.u32() != kSnapshotVersion) return false;
-  if (r.u64() != config_.seed) return false;
-  if (r.u64() != users_.size()) return false;
-  if (r.u64() != layout_.num_cells()) return false;
-  if (r.i32() != config_.placement.carriers) return false;
-  // lint-allow(DET-FLOAT-EQ): config fingerprint; any bit difference must refuse
-  if (r.f64() != config_.frame_s) return false;
-  if (r.str() != admission_policy_name_) return false;
-  if (r.str() != csi_->name()) return false;
-  return r.ok();
+template <class Ar>
+void Simulator::io_body(Ar& ar) {
+  ar(now_s_, frame_count_, far_refresh_left_s_, rng_);
+  ar.fixed(stations_, [&](auto& bs) {
+    ar(bs.forward_w, bs.prev_forward_w, bs.received_w);
+  });
+  ar.fixed(prev_tx_w_);
+  ar.fixed(user_carrier_);
+  ar.fixed(injected_bits_);
+  ar(queues_);
+  ar.fixed(users_, [&](auto& u) {
+    ar(u.carrier);
+    ar.poly(*u.mobility);
+    ar(u.active_set, u.fl_pc, u.rl_pc);
+    if (u.voice) ar(*u.voice);
+    if (u.data) ar(*u.data);
+    ar(u.mac);
+    if (u.adapter) ar(*u.adapter);
+    if (u.fixed) ar(*u.fixed);
+    ar(u.voice_active, u.fch_on, u.has_pending, u.pending_bits,
+       u.pending_arrival_s, u.next_eligible_s);
+    ar(u.burst.active, u.burst.m, u.burst.remaining_bits, u.burst.arrival_s,
+       u.burst.setup_left_s, u.burst.distance_bin);
+    ar(u.fwd_interference_w, u.fwd_interference_eff_w, u.fch_sir_linear);
+  });
+  ar(state_, far_field_);
+  ar.poly(*csi_);
+  ar.poly(*admission_policy_);
+  ar(metrics_);
+}
+
+std::vector<std::uint8_t> Simulator::snapshot() const {
+  validate_invariants();
+  // io() is one non-const template for both directions; the writer only
+  // reads the fields it visits.
+  Simulator& self = const_cast<Simulator&>(*this);
+  return common::seal(kSnapshotMagic, kSnapshotVersion,
+                      [&](common::BinaryWriter& w) {
+                        self.io_header(w);
+                        self.io_body(w);
+                      });
 }
 
 bool Simulator::restore(const std::vector<std::uint8_t>& bytes) {
   // Footer first: the archive ends in crc32(payload), so a bit flip
   // anywhere -- or a truncation, which shears the footer off its payload --
   // is refused by checksum before a single field is parsed.  The CRC check,
-  // like header rejection, is mutation-free; the body is then restored
-  // transactionally against a rollback snapshot, so even an archive that
-  // passes the checksum but fails structurally (tests truncate at every
-  // 64-byte boundary and bit-flip every stride) leaves the simulator
-  // exactly as it was.
-  if (bytes.size() <= kSnapshotFooterBytes) return false;
-  const std::size_t payload = bytes.size() - kSnapshotFooterBytes;
-  std::uint32_t stored = 0;
-  for (std::size_t i = 0; i < kSnapshotFooterBytes; ++i) {
-    stored |= static_cast<std::uint32_t>(bytes[payload + i]) << (8 * i);
-  }
-  if (common::crc32(bytes.data(), payload) != stored) return false;
-  common::BinaryReader r(bytes.data(), payload);
-  if (!check_snapshot_header(r)) return false;
+  // like the header fingerprint, is mutation-free; the body is then read in
+  // place, transactionally against a rollback snapshot, so even an archive
+  // that passes the checksum but fails structurally (tests truncate at
+  // every 64-byte boundary, bit-flip every stride, and forge out-of-range
+  // indices under a valid crc) leaves the simulator exactly as it was.  The
+  // always-compiled check_invariants() is the structural gate: a restored
+  // state it refuses would index out of range on the next frame.
+  common::BinaryReader r;
+  if (common::unseal(bytes, kSnapshotMagic, kSnapshotVersion, &r)) return false;
+  io_header(r);
+  if (!r.ok()) return false;
   const std::vector<std::uint8_t> backup = snapshot();
-  if (restore_body(r)) {
-    validate_invariants();
-    return true;
-  }
-  common::BinaryReader back(backup.data(), backup.size() - kSnapshotFooterBytes);
-  const bool rolled_back = check_snapshot_header(back) && restore_body(back);
-  WCDMA_ASSERT(rolled_back && "rollback of a just-taken snapshot must succeed");
+  io_body(r);
+  if (r.ok() && r.at_end() && check_invariants()) return true;
+  common::BinaryReader back;
+  const bool unsealed =
+      !common::unseal(backup, kSnapshotMagic, kSnapshotVersion, &back);
+  io_header(back);
+  io_body(back);
+  WCDMA_ASSERT(unsealed && back.ok() && back.at_end() &&
+               "rollback of a just-taken snapshot must succeed");
   return false;
-}
-
-bool Simulator::restore_body(common::BinaryReader& r) {
-  now_s_ = r.f64();
-  frame_count_ = r.i64();
-  far_refresh_left_s_ = r.f64();
-  rng_.load(r);
-
-  if (r.seq(24) != stations_.size()) return false;
-  for (BaseStation& bs : stations_) {
-    bs.forward_w = r.f64();
-    bs.prev_forward_w = r.f64();
-    bs.received_w = r.f64();
-  }
-  {
-    std::vector<double> tx;
-    r.vec_f64(tx);
-    if (!r.ok() || tx.size() != prev_tx_w_.size()) return false;
-    prev_tx_w_ = std::move(tx);
-  }
-  {
-    std::vector<int> carriers;
-    r.vec_i32(carriers);
-    if (!r.ok() || carriers.size() != user_carrier_.size()) return false;
-    user_carrier_ = std::move(carriers);
-  }
-  {
-    std::vector<double> inj;
-    r.vec_f64(inj);
-    if (!r.ok() || inj.size() != injected_bits_.size()) return false;
-    injected_bits_ = std::move(inj);
-  }
-  if (!queues_.load(r)) return false;
-
-  if (r.seq(1) != users_.size()) return false;
-  for (User& u : users_) {
-    u.carrier = r.i32();
-    if (!u.mobility->load(r)) return false;
-    u.active_set.load(r);
-    u.fl_pc.load(r);
-    u.rl_pc.load(r);
-    if (u.voice) u.voice->load(r);
-    if (u.data) u.data->load(r);
-    u.mac.load(r);
-    if (u.adapter) u.adapter->load(r);
-    if (u.fixed) u.fixed->load(r);
-    u.voice_active = r.boolean();
-    u.fch_on = r.boolean();
-    u.has_pending = r.boolean();
-    u.pending_bits = r.f64();
-    u.pending_arrival_s = r.f64();
-    u.next_eligible_s = r.f64();
-    u.burst.active = r.boolean();
-    u.burst.m = r.i32();
-    u.burst.remaining_bits = r.f64();
-    u.burst.arrival_s = r.f64();
-    u.burst.setup_left_s = r.f64();
-    u.burst.distance_bin = static_cast<std::size_t>(r.u64());
-    u.fwd_interference_w = r.f64();
-    u.fwd_interference_eff_w = r.f64();
-    u.fch_sir_linear = r.f64();
-    if (!r.ok()) return false;
-  }
-
-  if (!state_.load(r)) return false;
-  if (!far_field_.load(r)) return false;
-  if (!csi_->load_state(r)) return false;
-  if (!admission_policy_->load_state(r)) return false;
-  if (!metrics_.load(r)) return false;
-  return r.ok() && r.at_end();
 }
 
 bool Simulator::check_invariants(std::string* why) const {
@@ -1197,6 +1098,25 @@ bool Simulator::check_invariants(std::string* why) const {
     return fail("per-user SoA mirrors diverged from the population size");
   if (stations_.size() != n_cells * n_carriers)
     return fail("station table size diverged from cells x carriers");
+
+  // Stored indices vs the world shape: every later frame indexes station,
+  // pilot and coverage tables with them.
+  for (std::size_t i = 0; i < n_users; ++i) {
+    const User& u = users_[i];
+    if (u.carrier != user_carrier_[i] || u.carrier < 0 ||
+        static_cast<std::size_t>(u.carrier) >= n_carriers)
+      return fail("user " + std::to_string(i) + "'s carrier is out of range");
+    for (const std::size_t cell : u.active_set.members()) {
+      if (cell >= n_cells)
+        return fail("user " + std::to_string(i) + "'s active set names a cell out of range");
+    }
+    for (const std::size_t cell : csi_->cells_for(i)) {
+      if (cell >= n_cells)
+        return fail("user " + std::to_string(i) + "'s candidate set names a cell out of range");
+    }
+    if (u.burst.distance_bin >= metrics_.delay_by_distance.size())
+      return fail("user " + std::to_string(i) + "'s coverage bin is out of range");
+  }
 
   // Request-queue buckets vs the per-user burst state they index.
   if (queues_.carriers() != config_.placement.carriers)
@@ -1225,7 +1145,7 @@ bool Simulator::check_invariants(std::string* why) const {
     return fail("queue bucket total diverged from the O(users) pending scan");
 
   // CSR candidate index vs the provider's live candidate sets + epoch.
-  if (state_.has_candidate_index() && !state_.candidate_index_matches(*csi_))
+  if (!state_.candidate_index_matches(*csi_))
     return fail("CSR candidate index is stale vs the provider's sets/epoch");
 
   // Far-field TX buckets vs a from-scratch aggregation.

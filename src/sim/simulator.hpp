@@ -172,20 +172,22 @@ class Simulator {
   /// constructed from the SAME config resumes bit-identically to an
   /// uninterrupted run.  Snapshots are valid between frames only.
   std::vector<std::uint8_t> snapshot() const;
-  /// Restores a snapshot() archive; false (state untouched or safely
-  /// partial) on magic/version/fingerprint mismatch or truncation.
+  /// Restores a snapshot() archive; false, with state untouched, on a
+  /// crc/magic/version/fingerprint mismatch, truncation, or a restored state
+  /// that fails check_invariants() (e.g. a forged out-of-range index).
   bool restore(const std::vector<std::uint8_t>& bytes);
 
   /// Cross-checks every incrementally-maintained structure against its
   /// from-scratch rebuild: request-queue buckets vs per-user pending state,
   /// CSR candidate index vs the provider's live sets, far-field TX buckets
-  /// vs a fresh aggregation, SoA lane sizes vs user/cell counts.  Always
-  /// compiled (Release tests call it directly); returns false and names the
+  /// vs a fresh aggregation, SoA lane sizes vs user/cell counts, and every
+  /// stored carrier/cell index vs the world shape.  Always compiled:
+  /// restore() gates on it in every build.  Returns false and names the
   /// first broken invariant in *why (when non-null) instead of aborting.
   bool check_invariants(std::string* why = nullptr) const;
   /// Debug/sanitizer builds: aborts via WCDMA_DCHECK when check_invariants
-  /// fails.  Compiled out in Release.  Called at snapshot(), restore(), and
-  /// every kInvariantCheckPeriod-th frame of step_frame().
+  /// fails.  Compiled out in Release.  Called at snapshot() and every
+  /// kInvariantCheckPeriod-th frame of step_frame().
   void validate_invariants() const;
   static constexpr std::int64_t kInvariantCheckPeriod = 64;
 
@@ -317,13 +319,15 @@ class Simulator {
     return static_cast<std::size_t>(carrier) * 2 + (forward ? 0 : 1);
   }
 
-  /// Archive fingerprint check (magic/version/config); reads from `r` but
-  /// mutates no simulator state, leaving `r` positioned at the body.
-  bool check_snapshot_header(common::BinaryReader& r) const;
-  /// Body restore: mutates state and may partially apply on a truncated or
-  /// corrupt archive -- restore() wraps it transactionally with a rollback
+  /// Snapshot field lists (src/common/serialize.hpp).  The header is the
+  /// config fingerprint: expected values only, so reading it never mutates
+  /// state.  The body reads in place and may partially apply on a corrupt
+  /// archive -- restore() wraps it transactionally with a rollback
   /// snapshot so callers never observe the partial state.
-  bool restore_body(common::BinaryReader& r);
+  template <class Ar>
+  void io_header(Ar& ar);
+  template <class Ar>
+  void io_body(Ar& ar);
 
   bool in_warmup() const { return now_s_ < config_.warmup_s; }
   double sch_mean_csi(const User& u) const;

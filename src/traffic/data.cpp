@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::traffic {
 
@@ -38,18 +37,6 @@ void DataSource::notify_burst_done() {
   WCDMA_ASSERT(in_flight_);
   in_flight_ = false;
   next_arrival_s_ = rng_.exponential(config_.mean_reading_s);
-}
-
-void DataSource::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.f64(next_arrival_s_);
-  w.boolean(in_flight_);
-}
-
-void DataSource::load(common::BinaryReader& r) {
-  rng_.load(r);
-  next_arrival_s_ = r.f64();
-  in_flight_ = r.boolean();
 }
 
 }  // namespace wcdma::traffic

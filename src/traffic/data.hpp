@@ -11,11 +11,6 @@
 
 #include "src/common/rng.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::traffic {
 
 struct DataTrafficConfig {
@@ -46,8 +41,10 @@ class DataSource {
 
   bool waiting_for_completion() const { return in_flight_; }
 
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(rng_, next_arrival_s_, in_flight_);
+  }
 
  private:
   DataTrafficConfig config_;

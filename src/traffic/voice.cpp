@@ -1,7 +1,6 @@
 #include "src/traffic/voice.hpp"
 
 #include "src/common/assert.hpp"
-#include "src/common/serialize.hpp"
 
 namespace wcdma::traffic {
 
@@ -22,18 +21,6 @@ bool VoiceSource::step(double dt) {
   }
   time_left_ -= remaining;
   return active_;
-}
-
-void VoiceSource::save(common::BinaryWriter& w) const {
-  rng_.save(w);
-  w.boolean(active_);
-  w.f64(time_left_);
-}
-
-void VoiceSource::load(common::BinaryReader& r) {
-  rng_.load(r);
-  active_ = r.boolean();
-  time_left_ = r.f64();
 }
 
 }  // namespace wcdma::traffic

@@ -8,11 +8,6 @@
 
 #include "src/common/rng.hpp"
 
-namespace wcdma::common {
-class BinaryWriter;
-class BinaryReader;
-}  // namespace wcdma::common
-
 namespace wcdma::traffic {
 
 struct VoiceConfig {
@@ -36,8 +31,10 @@ class VoiceSource {
     return config_.mean_on_s / (config_.mean_on_s + config_.mean_off_s);
   }
 
-  void save(common::BinaryWriter& w) const;
-  void load(common::BinaryReader& r);
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(rng_, active_, time_left_);
+  }
 
  private:
   VoiceConfig config_;

@@ -375,37 +375,45 @@ TEST(ParallelForIndex, StressRepeatedLaunches) {
 
 // ------------------------------------------------------------- serialize
 
+// One field list, run by the writer and by every reader below.
+struct Fields {
+  std::uint32_t magic = 0;
+  std::string name;
+  std::vector<double> lane;
+  bool flag = false;
+  std::int64_t count = 0;
+  template <class Ar>
+  void io(Ar& ar) {
+    ar(magic, name);
+    ar.var(lane);
+    ar(flag, count);
+  }
+};
+
 TEST(BinaryReader, SoftFailsAtEveryTruncationPoint) {
+  const Fields written{0xDEADBEEF, "fingerprint", {1.0, -2.5, 3.25}, true, -42};
   BinaryWriter w;
-  w.u32(0xDEADBEEF);
-  w.str("fingerprint");
-  w.vec_f64({1.0, -2.5, 3.25});
-  w.boolean(true);
-  w.i64(-42);
+  w(written);
   const std::vector<std::uint8_t> bytes = w.take();
 
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     std::vector<std::uint8_t> trunc(bytes.begin(),
                                     bytes.begin() + static_cast<long>(cut));
     BinaryReader r(trunc);
-    r.u32();
-    r.str();
-    std::vector<double> v;
-    r.vec_f64(v);
-    r.boolean();
-    r.i64();
+    Fields read;
+    r(read);
     // Every prefix-truncated archive must clear ok() -- never throw, abort,
     // or read out of bounds (ASan/TSan configs run this test too).
     EXPECT_FALSE(r.ok()) << "cut at " << cut;
   }
   BinaryReader full(bytes);
-  EXPECT_EQ(full.u32(), 0xDEADBEEFu);
-  EXPECT_EQ(full.str(), "fingerprint");
-  std::vector<double> v;
-  full.vec_f64(v);
-  EXPECT_EQ(v, (std::vector<double>{1.0, -2.5, 3.25}));
-  EXPECT_TRUE(full.boolean());
-  EXPECT_EQ(full.i64(), -42);
+  Fields read;
+  full(read);
+  EXPECT_EQ(read.magic, 0xDEADBEEFu);
+  EXPECT_EQ(read.name, "fingerprint");
+  EXPECT_EQ(read.lane, (std::vector<double>{1.0, -2.5, 3.25}));
+  EXPECT_TRUE(read.flag);
+  EXPECT_EQ(read.count, -42);
   EXPECT_TRUE(full.ok() && full.at_end());
 }
 
@@ -433,13 +441,41 @@ TEST(Crc32, MatchesTheIeeeCheckValueAndSeesEveryBit) {
   EXPECT_EQ(common::crc32(bytes), base);
 }
 
+// Fixed-shape reads and expected values compare against the live object
+// instead of overwriting it: a stored count or value that differs clears
+// ok(), and a fixed-shape lane is never resized.
+TEST(BinaryReader, FixedShapeAndExpectedValuesRefuseMismatches) {
+  BinaryWriter w;
+  w.fixed(std::vector<double>{1.0, 2.0});
+  w.expect(std::string("culled"));
+  const std::vector<std::uint8_t> bytes = w.take();
+
+  std::vector<double> lane(2, 0.0);
+  BinaryReader match(bytes);
+  match.fixed(lane);
+  match.expect(std::string("culled"));
+  EXPECT_TRUE(match.ok() && match.at_end());
+  EXPECT_EQ(lane, (std::vector<double>{1.0, 2.0}));
+
+  std::vector<double> wider(3, 7.0);
+  BinaryReader shape(bytes);
+  shape.fixed(wider);
+  EXPECT_FALSE(shape.ok());
+  EXPECT_EQ(wider, (std::vector<double>(3, 7.0)));
+
+  BinaryReader value(bytes);
+  value.fixed(lane);
+  value.expect(std::string("fast"));
+  EXPECT_FALSE(value.ok());
+}
+
 TEST(BinaryReader, ImplausibleSizePrefixFailsInsteadOfAllocating) {
   BinaryWriter w;
   w.u64(~std::uint64_t{0});  // absurd element count for any payload
   const std::vector<std::uint8_t> bytes = w.take();
   BinaryReader r(bytes);
   std::vector<double> v;
-  r.vec_f64(v);
+  r.var(v);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(v.empty());
 }

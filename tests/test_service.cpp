@@ -8,9 +8,10 @@
 //    the originating run bit for bit, on the shrunk E5 grid point and the
 //    hotspot-centre scenario;
 //  * checkpoint/restore: snapshot at frame k + resume into a fresh
-//    simulator equals the uninterrupted run, as a property across three
-//    master seeds; mismatched-config archives are refused with state
-//    untouched;
+//    simulator equals the uninterrupted run, as a property across four
+//    worlds and three master seeds; archive bytes are pinned per world;
+//    mismatched-config, damaged, and forged (crc-valid, out-of-range)
+//    archives are refused with state untouched;
 //  * protocol nacks: malformed, duplicate, out-of-order, and
 //    unknown-target events nack with the catalogue's result codes and
 //    leave all state unchanged, and the trace reader rejects malformed
@@ -389,35 +390,47 @@ TEST(Replay, RefusesAForeignHeader) {
 
 // --- Checkpoint / restore ---------------------------------------------------
 
-// Property: for several master seeds, snapshot at frame k + restore into a
-// freshly constructed simulator + run the remaining frames == the
-// uninterrupted run, bit for bit (metrics and forward powers).
+// Property: for several worlds and master seeds, snapshot at frame k +
+// restore into a freshly constructed simulator + run the remaining frames ==
+// the uninterrupted run, bit for bit (metrics, powers, and the final
+// snapshot).  The worlds cover both mobility kinds, the culling provider
+// with far field, and the stochastic random policy.
 TEST(CheckpointRestore, ResumedRunEqualsUninterruptedAcrossSeeds) {
-  for (const std::uint64_t seed : {3ull, 17ull, 90001ull}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    const sim::SystemConfig cfg = hotspot_config(seed);
-    const std::int64_t frames = frame_count(cfg);
-    const std::int64_t k = frames / 3;
+  const struct {
+    const char* name;
+    sim::SystemConfig (*config)(std::uint64_t);
+  } worlds[] = {{"hotspot", hotspot_config},
+                {"highway-corridor", corridor_config},
+                {"fast", fast_config},
+                {"random policy", random_policy_config}};
+  for (const auto& world : worlds) {
+    for (const std::uint64_t seed : {3ull, 17ull, 90001ull}) {
+      SCOPED_TRACE(std::string(world.name) + " seed " + std::to_string(seed));
+      const sim::SystemConfig cfg = world.config(seed);
+      const std::int64_t frames = frame_count(cfg);
+      const std::int64_t k = frames / 3;
 
-    sim::Simulator uninterrupted(cfg);
-    for (std::int64_t f = 0; f < frames; ++f) uninterrupted.step_frame();
+      sim::Simulator uninterrupted(cfg);
+      for (std::int64_t f = 0; f < frames; ++f) uninterrupted.step_frame();
 
-    std::vector<std::uint8_t> archive;
-    {
-      sim::Simulator first(cfg);
-      for (std::int64_t f = 0; f < k; ++f) first.step_frame();
-      archive = first.snapshot();
-    }
-    sim::Simulator resumed(cfg);
-    ASSERT_TRUE(resumed.restore(archive));
-    EXPECT_EQ(resumed.frame_index(), k);
-    for (std::int64_t f = k; f < frames; ++f) resumed.step_frame();
+      std::vector<std::uint8_t> archive;
+      {
+        sim::Simulator first(cfg);
+        for (std::int64_t f = 0; f < k; ++f) first.step_frame();
+        archive = first.snapshot();
+      }
+      sim::Simulator resumed(cfg);
+      ASSERT_TRUE(resumed.restore(archive));
+      EXPECT_EQ(resumed.frame_index(), k);
+      for (std::int64_t f = k; f < frames; ++f) resumed.step_frame();
 
-    expect_metrics_identical(uninterrupted.metrics(), resumed.metrics());
-    for (std::size_t cell = 0; cell < uninterrupted.num_cells(); ++cell) {
-      EXPECT_EQ(uninterrupted.forward_power_w(cell), resumed.forward_power_w(cell));
-      EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
-                resumed.reverse_interference_w(cell));
+      expect_metrics_identical(uninterrupted.metrics(), resumed.metrics());
+      for (std::size_t cell = 0; cell < uninterrupted.num_cells(); ++cell) {
+        EXPECT_EQ(uninterrupted.forward_power_w(cell), resumed.forward_power_w(cell));
+        EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
+                  resumed.reverse_interference_w(cell));
+      }
+      EXPECT_TRUE(uninterrupted.snapshot() == resumed.snapshot());
     }
   }
 }
@@ -557,6 +570,51 @@ TEST(CheckpointRestore, TruncationAtEvery64ByteBoundaryLeavesStateUntouched) {
   std::string why;
   EXPECT_TRUE(victim.check_invariants(&why)) << why;
   EXPECT_TRUE(victim.snapshot() == archive);
+}
+
+// The crc footer proves an archive is the one that was sealed, not that it
+// describes a world this simulator can run.  Forge user 0's carrier in the
+// per-user carrier lane to 1000000 under a valid crc (at its fixed offset,
+// then re-seal): restore() must refuse it and leave the victim untouched
+// and runnable, in every build (the next frame would index the station
+// table out of range).
+TEST(CheckpointRestore, ForgedOutOfRangeCarrierIsRefused) {
+  const sim::SystemConfig cfg = scenario::hotspot_cell_config(5);
+  sim::Simulator donor(cfg);
+  for (int f = 0; f < 20; ++f) donor.step_frame();
+  std::vector<std::uint8_t> forged = donor.snapshot();
+
+  // Header: magic, version, seed, users, cells, carriers, frame_s, and two
+  // length-prefixed names.  Body: clock, frame index, far-field timer,
+  // master RNG (4 words + spare + flag), stations (count + 3 doubles each),
+  // prev_tx_w (count + 1 double per user), then the carrier lane's count.
+  const std::size_t header = 4 + 4 + 8 + 8 + 8 + 4 + 8 +
+                             (8 + donor.policy_name().size()) +
+                             (8 + donor.channel_provider_name().size());
+  const std::size_t stations =
+      donor.num_cells() * static_cast<std::size_t>(cfg.placement.carriers);
+  const std::size_t lane = header + 8 + 8 + 8 + (4 * 8 + 8 + 1) +
+                           (8 + 24 * stations) + (8 + 8 * donor.num_users());
+  common::BinaryReader count(forged.data() + lane, 8);
+  ASSERT_EQ(count.u64(), donor.num_users()) << "offset arithmetic is stale";
+  const std::uint32_t bad = 1000000;
+  for (std::size_t i = 0; i < 4; ++i) {
+    forged[lane + 8 + i] = static_cast<std::uint8_t>(bad >> (8 * i));
+  }
+  const std::uint32_t crc = common::crc32(forged.data(), forged.size() - 4);
+  for (std::size_t i = 0; i < 4; ++i) {
+    forged[forged.size() - 4 + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+  }
+
+  sim::Simulator victim(cfg);
+  for (int f = 0; f < 7; ++f) victim.step_frame();
+  const std::vector<std::uint8_t> before = victim.snapshot();
+  EXPECT_FALSE(victim.restore(forged));
+  EXPECT_TRUE(victim.snapshot() == before) << "refused restore mutated state";
+  std::string why;
+  EXPECT_TRUE(victim.check_invariants(&why)) << why;
+  victim.step_frame();
+  EXPECT_EQ(victim.frame_index(), 8);
 }
 
 TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {
