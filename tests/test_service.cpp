@@ -142,8 +142,7 @@ sim::SystemConfig random_policy_config(std::uint64_t seed) {
 
 /// Two carriers with inter-carrier hand-down of rejected requests.
 sim::SystemConfig hand_down_config(std::uint64_t seed) {
-  scenario::ScenarioLayout layout = scenario::enterprise_data();
-  sim::SystemConfig cfg = small_layout_config(layout, seed);
+  sim::SystemConfig cfg = small_layout_config(scenario::enterprise_data(), seed);
   cfg.data.users = 24;
   cfg.admission.policy = "hand-down";
   return cfg;
