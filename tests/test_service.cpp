@@ -133,6 +133,13 @@ sim::SystemConfig fast_config(std::uint64_t seed) {
   return cfg;
 }
 
+/// The culling provider with its default knobs (the burst-service path).
+sim::SystemConfig culled_config(std::uint64_t seed) {
+  sim::SystemConfig cfg = hotspot_config(seed);
+  cfg.csi.provider = "culled";
+  return cfg;
+}
+
 /// The random-order baseline: its scheduler RNG is checkpointed state.
 sim::SystemConfig random_policy_config(std::uint64_t seed) {
   sim::SystemConfig cfg = hotspot_config(seed);
@@ -455,6 +462,7 @@ TEST(CheckpointRestore, SnapshotBytesArePinned) {
       {"fast+far-field", fast_config, 9, 40, 1196175520u, 63399},
       {"random policy", random_policy_config, 11, 60, 3190832093u, 66425},
       {"hand-down 2 carriers", hand_down_config, 13, 60, 2419366978u, 55299},
+      {"culled", culled_config, 15, 60, 1375004242u, 69005},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.name);
