@@ -1,30 +1,16 @@
 #include "src/power/power_control.hpp"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/common/units.hpp"
 
 namespace wcdma::power {
-
-namespace {
-
-/// Shared inner-loop step: returns the clamped new power for one frame of
-/// aggregated +/-step commands.
-inline double stepped_power_dbm(const PowerControlConfig& config, double power_dbm,
-                                double target_sir_db, double measured_sir_db) {
-  const double error = target_sir_db - measured_sir_db;
-  const double max_swing = config.step_db * static_cast<double>(config.commands_per_frame);
-  const double correction = std::clamp(error, -max_swing, max_swing);
-  return std::clamp(power_dbm + correction, config.min_power_dbm,
-                    config.max_power_dbm);
-}
-
-}  // namespace
 
 ClosedLoopPowerControl::ClosedLoopPowerControl(const PowerControlConfig& config,
                                                double initial_power_dbm)
     : config_(config),
       power_dbm_(initial_power_dbm),
-      power_watt_(to_watt(initial_power_dbm)),
+      power_watt_(common::dbm_to_watt(initial_power_dbm)),
       target_sir_db_(config.target_sir_db) {
   WCDMA_ASSERT(config_.step_db > 0.0);
   WCDMA_ASSERT(config_.commands_per_frame >= 1);
@@ -32,20 +18,15 @@ ClosedLoopPowerControl::ClosedLoopPowerControl(const PowerControlConfig& config,
 }
 
 double ClosedLoopPowerControl::update(double measured_sir_db) {
-  power_dbm_ = stepped_power_dbm(config_, power_dbm_, target_sir_db_, measured_sir_db);
-  power_watt_ = to_watt(power_dbm_);
-  saturated_ = power_dbm_ >= config_.max_power_dbm - 1e-12;
-  return power_dbm_;
-}
-
-double ClosedLoopPowerControl::update_db(double measured_sir_db) {
-  power_dbm_ = stepped_power_dbm(config_, power_dbm_, target_sir_db_, measured_sir_db);
+  // One frame of aggregated +/-step commands, clamped to the power rails.
+  const double error = target_sir_db_ - measured_sir_db;
+  const double max_swing =
+      config_.step_db * static_cast<double>(config_.commands_per_frame);
+  const double correction = std::clamp(error, -max_swing, max_swing);
+  power_dbm_ = std::clamp(power_dbm_ + correction, config_.min_power_dbm,
+                          config_.max_power_dbm);
   saturated_ = power_dbm_ >= config_.max_power_dbm - 1e-12;
   return power_dbm_;  // wattage stale until set_power_watt() commits it
-}
-
-double ClosedLoopPowerControl::to_watt(double dbm) {
-  return std::pow(10.0, (dbm - 30.0) / 10.0);
 }
 
 OuterLoopPowerControl::OuterLoopPowerControl(double initial_target_db, double fer_target,

@@ -27,25 +27,21 @@ class ClosedLoopPowerControl {
   explicit ClosedLoopPowerControl(const PowerControlConfig& config = {},
                                   double initial_power_dbm = 0.0);
 
-  /// One frame: adjust transmit power toward the SIR target given the
-  /// measured SIR (dB).  Returns the new transmit power (dBm).
+  /// One frame: steps the transmit power toward the SIR target given the
+  /// measured SIR (dB), updates the saturation flag, and returns the new
+  /// power (dBm).  The cached wattage is left STALE: Simulator::
+  /// step_power_control batches every loop's (power_dbm - 30) into one lane,
+  /// converts it (libm on the default path, the SIMD fastmath lane on the
+  /// relaxed provider) and commits with set_power_watt().  Nothing may read
+  /// power_watt() between the two calls.
   double update(double measured_sir_db);
-
-  /// The fast provider's split update: applies the stepped dBm correction
-  /// and the saturation flag, but leaves the cached wattage STALE.  The
-  /// caller batches every user's (power_dbm - 30) into a lane, converts it
-  /// through the SIMD-dispatched kernels::db_to_linear_lane (the relaxed
-  /// fast_exp2 twin of to_watt; relative error < 1e-8), and commits with
-  /// set_power_watt() -- see Simulator::step_power_control.  Nothing may
-  /// read power_watt() between the two calls.  The default path must keep
-  /// update() for bit-identity.
-  double update_db(double measured_sir_db);
-  /// Commits the batch-converted wattage after update_db().
+  /// Commits the converted wattage after update().
   void set_power_watt(double watt) { power_watt_ = watt; }
 
   double power_dbm() const { return power_dbm_; }
-  /// Cached dBm -> W conversion; refreshed whenever power_dbm_ moves, so the
-  /// hot loops that read it several times per frame pay the pow() once.
+  /// Cached dBm -> W conversion, committed once per frame by
+  /// set_power_watt(), so the hot loops that read it several times per
+  /// frame pay the conversion once.
   double power_watt() const { return power_watt_; }
   double target_sir_db() const { return target_sir_db_; }
   void set_target_sir_db(double v) { target_sir_db_ = v; }
@@ -61,8 +57,6 @@ class ClosedLoopPowerControl {
   }
 
  private:
-  static double to_watt(double dbm);
-
   PowerControlConfig config_;
   double power_dbm_;
   double power_watt_;

@@ -1,38 +1,47 @@
 #include "src/sim/metrics.hpp"
 
 #include "src/common/assert.hpp"
+#include "src/common/serialize.hpp"
 
 namespace wcdma::sim {
 
+namespace {
+
+/// Counters and totals add; accumulators merge.
+template <class T>
+void merge_field(T& mine, const T& theirs) {
+  if constexpr (std::is_arithmetic_v<T>) {
+    mine += theirs;
+  } else {
+    mine.merge(theirs);
+  }
+}
+
+template <class T>
+void merge_field(std::vector<T>& mine, const std::vector<T>& theirs) {
+  WCDMA_ASSERT(mine.size() == theirs.size());
+  for (std::size_t i = 0; i < mine.size(); ++i) merge_field(mine[i], theirs[i]);
+}
+
+}  // namespace
+
 void SimMetrics::merge(const SimMetrics& other) {
-  burst_delay_s.merge(other.burst_delay_s);
-  delay_hist.merge(other.delay_hist);
-  queue_delay_s.merge(other.queue_delay_s);
-  granted_sgr.merge(other.granted_sgr);
-  data_bits_delivered += other.data_bits_delivered;
-  observed_s += other.observed_s;
-  WCDMA_ASSERT(delay_by_distance.size() == other.delay_by_distance.size());
-  for (std::size_t i = 0; i < delay_by_distance.size(); ++i) {
-    delay_by_distance[i].merge(other.delay_by_distance[i]);
-  }
-  sch_frames += other.sch_frames;
-  sch_outage_frames += other.sch_outage_frames;
-  ber_violation_frames += other.ber_violation_frames;
-  WCDMA_ASSERT(mode_frames.size() == other.mode_frames.size());
-  for (std::size_t i = 0; i < mode_frames.size(); ++i) {
-    mode_frames[i] += other.mode_frames[i];
-  }
-  requests_seen += other.requests_seen;
-  grants += other.grants;
-  reject_rounds += other.reject_rounds;
-  carrier_hand_downs += other.carrier_hand_downs;
-  pending_queue_len.merge(other.pending_queue_len);
-  forward_load_fraction.merge(other.forward_load_fraction);
-  reverse_rise_db.merge(other.reverse_rise_db);
-  bs_power_saturations += other.bs_power_saturations;
-  mobile_power_saturations += other.mobile_power_saturations;
-  voice_sir_error_db.merge(other.voice_sir_error_db);
-  overload_sheds += other.overload_sheds;
+  fields([](const char*, auto& mine, const auto& theirs) { merge_field(mine, theirs); },
+         *this, other);
+}
+
+std::string SimMetrics::first_difference(const SimMetrics& a, const SimMetrics& b) {
+  std::string differs;
+  fields(
+      [&differs](const char* name, const auto& x, const auto& y) {
+        if (!differs.empty()) return;
+        common::BinaryWriter wx, wy;
+        io_field(wx, x);
+        io_field(wy, y);
+        if (wx.bytes() != wy.bytes()) differs = name;
+      },
+      a, b);
+  return differs;
 }
 
 }  // namespace wcdma::sim

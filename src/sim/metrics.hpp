@@ -4,6 +4,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/stats.hpp"
@@ -11,6 +13,13 @@
 namespace wcdma::sim {
 
 inline constexpr std::size_t kCoverageBins = 12;
+
+namespace detail {
+template <class T>
+inline constexpr bool kIsVector = false;
+template <class T, class A>
+inline constexpr bool kIsVector<std::vector<T, A>> = true;
+}  // namespace detail
 
 struct SimMetrics {
   // Burst (packet) delay: arrival -> last bit delivered.
@@ -54,22 +63,52 @@ struct SimMetrics {
   /// arrivals never cross the service gate.
   std::int64_t overload_sheds = 0;
 
+  /// THE field list.  Calls v("name", m.field...) once per field, in
+  /// declaration order (which is also the checkpoint archive order), over
+  /// any number of SimMetrics in lockstep: fields(v, *this) visits one
+  /// object, fields(v, *this, other) pairs two.  io(), merge(),
+  /// first_difference() and service_main's --metrics-out JSON all walk this
+  /// list, so adding a metric is one member plus one row here.
+  template <class V, class... M>
+  static void fields(V&& v, M&... m) {
+    v("burst_delay_s", m.burst_delay_s...);
+    v("delay_hist", m.delay_hist...);
+    v("queue_delay_s", m.queue_delay_s...);
+    v("granted_sgr", m.granted_sgr...);
+    v("data_bits_delivered", m.data_bits_delivered...);
+    v("observed_s", m.observed_s...);
+    v("delay_by_distance", m.delay_by_distance...);
+    v("sch_frames", m.sch_frames...);
+    v("sch_outage_frames", m.sch_outage_frames...);
+    v("ber_violation_frames", m.ber_violation_frames...);
+    v("mode_frames", m.mode_frames...);
+    v("requests_seen", m.requests_seen...);
+    v("grants", m.grants...);
+    v("reject_rounds", m.reject_rounds...);
+    v("carrier_hand_downs", m.carrier_hand_downs...);
+    v("pending_queue_len", m.pending_queue_len...);
+    v("forward_load_fraction", m.forward_load_fraction...);
+    v("reverse_rise_db", m.reverse_rise_db...);
+    v("bs_power_saturations", m.bs_power_saturations...);
+    v("mobile_power_saturations", m.mobile_power_saturations...);
+    v("voice_sir_error_db", m.voice_sir_error_db...);
+    v("overload_sheds", m.overload_sheds...);
+  }
+
   void merge(const SimMetrics& other);
 
   /// Checkpoint serialization: every accumulator round-trips bit-exactly so
-  /// a resumed run's final metrics equal the uninterrupted run's.
+  /// a resumed run's final metrics equal the uninterrupted run's.  The
+  /// vector fields are fixed-shape (sized at construction).
   template <class Ar>
   void io(Ar& ar) {
-    ar(burst_delay_s, delay_hist, queue_delay_s, granted_sgr,
-       data_bits_delivered, observed_s);
-    ar.fixed(delay_by_distance);
-    ar(sch_frames, sch_outage_frames, ber_violation_frames);
-    ar.fixed(mode_frames);
-    ar(requests_seen, grants, reject_rounds, carrier_hand_downs,
-       pending_queue_len, forward_load_fraction, reverse_rise_db,
-       bs_power_saturations, mobile_power_saturations, voice_sir_error_db,
-       overload_sheds);
+    fields([&ar](const char*, auto& f) { io_field(ar, f); }, *this);
   }
+
+  /// Name of the first field whose archived bytes differ between `a` and
+  /// `b` (doubles compared by bit pattern), or "" when every field is
+  /// bit-identical.
+  static std::string first_difference(const SimMetrics& a, const SimMetrics& b);
 
   double mean_delay_s() const { return burst_delay_s.mean(); }
   double p95_delay_s() const { return delay_hist.percentile(0.95); }
@@ -85,6 +124,17 @@ struct SimMetrics {
     return requests_seen > 0 ? static_cast<double>(grants) /
                                    static_cast<double>(requests_seen)
                              : 0.0;
+  }
+
+  /// One field through an archive: vectors are fixed-shape lanes, every
+  /// other field goes by its C++ type.  `T` may be const for a writer.
+  template <class Ar, class T>
+  static void io_field(Ar& ar, T& f) {
+    if constexpr (detail::kIsVector<std::remove_const_t<T>>) {
+      ar.fixed(f);
+    } else {
+      ar(f);
+    }
   }
 };
 

@@ -16,6 +16,14 @@ namespace {
 
 constexpr double kTiny = 1e-30;
 
+/// Decision-latency bench clock, seconds.  Read only while decision timing
+/// is enabled; the durations never reach simulation state.
+double bench_clock_s() {
+  // lint-allow(DET-WALLCLOCK): feeds decision_frame_times_s() only
+  const auto now = std::chrono::steady_clock::now().time_since_epoch();
+  return std::chrono::duration<double>(now).count();
+}
+
 /// Registry name of the configured admission policy: the explicit string
 /// wins; the legacy SchedulerKind enum is the fallback.
 std::string resolved_policy_name(const SystemConfig& config) {
@@ -221,25 +229,15 @@ void Simulator::step_frame() {
   step_reverse_measurements();
   step_power_control();
   step_traffic();
+  const double t0 = decision_timing_ ? bench_clock_s() : 0.0;
+  build_frame_context();
+  for (int c = 0; c < config_.placement.carriers; ++c) {
+    run_admission(mac::LinkDirection::kForward, c);
+    run_admission(mac::LinkDirection::kReverse, c);
+  }
   if (decision_timing_) {
-    // lint-allow(DET-WALLCLOCK): latency bench instrumentation; the measured
-    // durations feed BENCH_decision_latency.json only, never simulation state
-    const auto t0 = std::chrono::steady_clock::now();
-    build_frame_context();
-    for (int c = 0; c < config_.placement.carriers; ++c) {
-      run_admission(mac::LinkDirection::kForward, c);
-      run_admission(mac::LinkDirection::kReverse, c);
-    }
-    // lint-allow(DET-WALLCLOCK): closes the bench-only timing span above
-    const auto t1 = std::chrono::steady_clock::now();
-    decision_times_s_.push_back(std::chrono::duration<double>(t1 - t0).count());
+    decision_times_s_.push_back(bench_clock_s() - t0);
     decisions_made_ += static_cast<std::int64_t>(frame_ctx_.requests.size());
-  } else {
-    build_frame_context();
-    for (int c = 0; c < config_.placement.carriers; ++c) {
-      run_admission(mac::LinkDirection::kForward, c);
-      run_admission(mac::LinkDirection::kReverse, c);
-    }
   }
   step_transmission();
   update_transmit_powers();
@@ -411,76 +409,17 @@ void Simulator::step_reverse_measurements() {
 }
 
 void Simulator::step_power_control() {
-  // The relaxed-precision provider swaps this whole loop for a lane-
-  // structured twin whose dB conversions run through the SIMD-dispatched
-  // kernels; the default path below keeps libm bit-identity.
-  if (fast_math_) {
-    step_power_control_fast();
-    return;
-  }
-  for (std::size_t i = 0; i < users_.size(); ++i) {
-    User& u = users_[i];
-    u.fch_on = u.is_data
-                   ? (u.has_pending || u.burst.active ||
-                      u.mac.state() == mac::MacState::kActive ||
-                      u.mac.state() == mac::MacState::kControlHold)
-                   : u.voice_active;
-    if (!u.fch_on) {
-      u.fch_sir_linear = 0.0;
-      continue;
-    }
-    // Power control tracks the *local-mean* channel (path loss + shadowing):
-    // the paper assigns the fast-fading component to the adaptive PHY
-    // ("the fast fading component (Xl) is handled by the VTAOC system"),
-    // and a per-frame loop that chased Rayleigh fades would attempt the
-    // divergent E[1/h] inversion.
-    if (u.is_data && !u.forward_dir) {
-      // Reverse-link data user: control the mobile TX (pilot) power from the
-      // FCH Eb/I0 achieved at the primary BS.
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.fch_sir_linear = std::max(sir, kTiny);
-      u.rl_pc.update(common::linear_to_db(u.fch_sir_linear));
-      if (u.rl_pc.saturated() && !in_warmup()) ++metrics_.mobile_power_saturations;
-    } else {
-      // Forward FCH power control (voice users and forward data users).
-      const std::size_t prim = u.active_set.primary();
-      const double sir = u.fl_pc.power_watt() * state_.gain_mean(i, prim) * fch_pg_ /
-                         std::max(u.fwd_interference_eff_w, kTiny);
-      u.fch_sir_linear = std::max(sir, kTiny);
-      const double sir_db = common::linear_to_db(u.fch_sir_linear);
-      u.fl_pc.update(sir_db);
-      if (u.fl_pc.saturated() && !in_warmup()) ++metrics_.bs_power_saturations;
-      if (!u.is_data && !in_warmup()) {
-        metrics_.voice_sir_error_db.add(sir_db - config_.radio.fch_ebio_target_db);
-      }
-    }
-    // Reverse-link voice/forward-data users still transmit a reverse pilot +
-    // FCH; track its power with the reverse loop as well.
-    if (!u.is_data || u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.rl_pc.update(common::linear_to_db(std::max(sir, kTiny)));
-    }
-  }
-}
-
-void Simulator::step_power_control_fast() {
-  // Pass A -- scalar SIR measurement.  Same branch structure and arithmetic
-  // as the default loop; every measured SIR lands in a contiguous lane
-  // instead of converting to dB inline.  All reads are last frame's powers
-  // (received_w, fwd_interference_eff_w, power_watt caches), so deferring
+  // Pass A -- SIR measurement, one lane entry per closed-loop update (a
+  // user contributes kRlData, or kForward plus kRlPilot).  Every read is
+  // last frame's powers (received_w, fwd_interference_eff_w, the loops'
+  // cached wattages) and this user's pre-update loop state, so deferring
   // the loop updates to pass C changes nothing.
+  //
+  // Power control tracks the *local-mean* channel (path loss + shadowing):
+  // the paper assigns the fast-fading component to the adaptive PHY ("the
+  // fast fading component (Xl) is handled by the VTAOC system"), and a
+  // per-frame loop that chased Rayleigh fades would attempt the divergent
+  // E[1/h] inversion.
   pc_entries_.clear();
   pc_sir_linear_.clear();
   for (std::size_t i = 0; i < users_.size(); ++i) {
@@ -494,81 +433,76 @@ void Simulator::step_power_control_fast() {
       u.fch_sir_linear = 0.0;
       continue;
     }
+    const std::size_t prim = u.active_set.primary();
+    // Reverse pilot + FCH Eb/I0 at the primary BS, from the mobile TX power.
+    const double rl_sir =
+        u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio *
+        state_.gain_mean(i, prim) * fch_pg_ /
+        std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
+        u.active_set.reverse_adjustment();
     if (u.is_data && !u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      u.fch_sir_linear = std::max(sir, kTiny);
+      // Reverse-link data user: the FCH rides the reverse link.
+      u.fch_sir_linear = std::max(rl_sir, kTiny);
       pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlData});
       pc_sir_linear_.push_back(u.fch_sir_linear);
-    } else {
-      const std::size_t prim = u.active_set.primary();
-      const double sir = u.fl_pc.power_watt() * state_.gain_mean(i, prim) * fch_pg_ /
-                         std::max(u.fwd_interference_eff_w, kTiny);
-      u.fch_sir_linear = std::max(sir, kTiny);
-      pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kForward});
-      pc_sir_linear_.push_back(u.fch_sir_linear);
+      continue;
     }
-    if (!u.is_data || u.forward_dir) {
-      const std::size_t prim = u.active_set.primary();
-      const double fch_tx =
-          u.rl_pc.power_watt() * config_.admission.zeta_fch_pilot_ratio;
-      const double sir =
-          fch_tx * state_.gain_mean(i, prim) * fch_pg_ /
-          std::max(stations_[station_index(prim, u.carrier)].received_w, kTiny) *
-          u.active_set.reverse_adjustment();
-      pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlPilot});
-      pc_sir_linear_.push_back(std::max(sir, kTiny));
+    // Forward FCH (voice users and forward data users); their reverse pilot
+    // + FCH is tracked by the reverse loop as well.
+    const double fl_sir = u.fl_pc.power_watt() * state_.gain_mean(i, prim) * fch_pg_ /
+                          std::max(u.fwd_interference_eff_w, kTiny);
+    u.fch_sir_linear = std::max(fl_sir, kTiny);
+    pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kForward});
+    pc_sir_linear_.push_back(u.fch_sir_linear);
+    pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlPilot});
+    pc_sir_linear_.push_back(std::max(rl_sir, kTiny));
+  }
+
+  // Pass B -- linear -> dB for every entry.  The conversion math is the
+  // only provider-dependent step: per-element libm on the default path,
+  // the SIMD-dispatched fastmath lane on the relaxed provider.
+  const std::size_t n = pc_entries_.size();
+  pc_sir_db_.resize(n);
+  if (fast_math_) {
+    kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) {
+      pc_sir_db_[j] = common::linear_to_db(pc_sir_linear_[j]);
     }
   }
 
-  // Pass B -- one SIMD batch for every linear -> dB conversion this frame.
-  const std::size_t n = pc_entries_.size();
-  pc_sir_db_.resize(n);
-  kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
-
-  // Pass C -- scalar loop stepping + saturation/voice metrics, ascending
-  // user order (the entry order), queueing the dBm -> W refresh.
-  pc_dbm_.resize(n);
+  // Pass C -- step the loops + saturation/voice metrics in ascending user
+  // order (the entry order), queueing each new power in dBW.
+  pc_dbw_.resize(n);
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
     const double sir_db = pc_sir_db_[j];
-    switch (pc_entries_[j].kind) {
-      case PcKind::kRlData:
-        u.rl_pc.update_db(sir_db);
-        if (u.rl_pc.saturated() && !in_warmup()) ++metrics_.mobile_power_saturations;
-        pc_dbm_[j] = u.rl_pc.power_dbm() - 30.0;  // dBm -> dBW for the lane
-        break;
-      case PcKind::kForward:
-        u.fl_pc.update_db(sir_db);
-        if (u.fl_pc.saturated() && !in_warmup()) ++metrics_.bs_power_saturations;
-        if (!u.is_data && !in_warmup()) {
-          metrics_.voice_sir_error_db.add(sir_db - config_.radio.fch_ebio_target_db);
-        }
-        pc_dbm_[j] = u.fl_pc.power_dbm() - 30.0;
-        break;
-      case PcKind::kRlPilot:
-        u.rl_pc.update_db(sir_db);
-        pc_dbm_[j] = u.rl_pc.power_dbm() - 30.0;
-        break;
+    power::ClosedLoopPowerControl& pc =
+        pc_entries_[j].kind == PcKind::kForward ? u.fl_pc : u.rl_pc;
+    pc.update(sir_db);
+    if (pc_entries_[j].kind == PcKind::kRlData) {
+      if (pc.saturated() && !in_warmup()) ++metrics_.mobile_power_saturations;
+    } else if (pc_entries_[j].kind == PcKind::kForward && !in_warmup()) {
+      if (pc.saturated()) ++metrics_.bs_power_saturations;
+      if (!u.is_data) {
+        metrics_.voice_sir_error_db.add(sir_db - config_.radio.fch_ebio_target_db);
+      }
     }
+    pc_dbw_[j] = pc.power_dbm() - 30.0;
   }
 
-  // Pass D -- one SIMD batch for every dB -> W refresh, then commit the
-  // cached wattages.  Nothing reads power_watt() between update_db and here.
+  // Pass D -- dB -> W for every entry (same math split as pass B), then
+  // commit the loops' cached wattages.
   pc_watt_.resize(n);
-  kernels::db_to_linear_lane(pc_dbm_.data(), pc_watt_.data(), n);
+  if (fast_math_) {
+    kernels::db_to_linear_lane(pc_dbw_.data(), pc_watt_.data(), n);
+  } else {
+    for (std::size_t j = 0; j < n; ++j) pc_watt_[j] = common::db_to_linear(pc_dbw_[j]);
+  }
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
-    if (pc_entries_[j].kind == PcKind::kForward) {
-      u.fl_pc.set_power_watt(pc_watt_[j]);
-    } else {
-      u.rl_pc.set_power_watt(pc_watt_[j]);
-    }
+    (pc_entries_[j].kind == PcKind::kForward ? u.fl_pc : u.rl_pc)
+        .set_power_watt(pc_watt_[j]);
   }
 }
 

@@ -278,18 +278,17 @@ class Simulator {
   void step_mobility_and_channel();
   void forward_measure_user(std::size_t shard, std::size_t user);
   void step_reverse_measurements();
+  /// Closed-loop power control for every FCH-on user as one lane-structured
+  /// loop: scalar SIR measurement (pass A), linear -> dB (B), loop stepping
+  /// and saturation/voice metrics in ascending user order (C), dB -> W and
+  /// commit (D).  No cross-user state flows through power control within a
+  /// frame (every SIR reads last frame's powers and this user's pre-update
+  /// loop state), so the split is element-wise identical to a fused
+  /// per-user loop.  The conversion math of passes B and D is the only
+  /// provider-dependent step: per-element libm on the default path, the
+  /// SIMD-dispatched kernels (byte-identical across dispatch levels) on
+  /// the relaxed provider.
   void step_power_control();
-  /// The fast provider's lane-structured twin of step_power_control: the
-  /// per-user SIR measurements are computed scalar (pass A), every dB
-  /// conversion runs through the SIMD-dispatched kernels as one batch
-  /// (passes B and D), and the scalar stepping/saturation/metric logic in
-  /// between (pass C) runs in the same ascending-user order as the default
-  /// loop.  No cross-user state flows through power control within a frame
-  /// (every SIR reads last frame's powers and this user's pre-update loop
-  /// state), so the split is element-wise identical to the fused loop it
-  /// replaced -- and byte-identical across dispatch levels by the kernel
-  /// contract.
-  void step_power_control_fast();
   void step_traffic();
   /// Snapshots this frame's measurements and the queued eligible requests
   /// into the read-only FrameContext handed to the admission policy, one
@@ -372,7 +371,7 @@ class Simulator {
   std::vector<std::pair<std::size_t, std::size_t>> round_ranges_;
   std::vector<std::size_t> round_scratch_;  // request indices of one round
   std::vector<int> grant_m_scratch_, grant_carrier_scratch_;
-  /// step_power_control_fast lane scratch: one entry per closed-loop update
+  /// step_power_control lane scratch: one entry per closed-loop update
   /// this frame (a user contributes kRlData, or kForward plus kRlPilot).
   enum class PcKind : std::uint8_t { kRlData, kForward, kRlPilot };
   struct PcEntry {
@@ -381,13 +380,13 @@ class Simulator {
   };
   std::vector<PcEntry> pc_entries_;
   std::vector<double> pc_sir_linear_, pc_sir_db_;  // pass A -> B lanes
-  std::vector<double> pc_dbm_, pc_watt_;           // pass C -> D lanes
+  std::vector<double> pc_dbw_, pc_watt_;           // pass C -> D lanes
   double noise_w_ = 0.0;
   double l_max_w_ = 0.0;
   double mobile_max_w_ = 0.0;  // dbm_to_watt(mobile_max_power_dbm), hoisted
   /// True when the CSI provider armed FrameState's relaxed-precision
-  /// kernels (the "fast" provider): the per-user power-control loop then
-  /// uses the fastmath dB conversions too.  Always false on the default
+  /// kernels (the "fast" provider): step_power_control then converts
+  /// through the fastmath lanes too.  Always false on the default
   /// bit-identical path.
   bool fast_math_ = false;
   double fch_pg_ = 0.0;          // W / R_f processing gain

@@ -222,11 +222,12 @@ TEST(MigratedBenches, E5MergedMetricsAreThreadCountInvariant) {
   for (std::size_t s = 0; s < inline_run.scenarios.size(); ++s) {
     SCOPED_TRACE(s);
     // Bit-identical, not approximately equal.
-    EXPECT_EQ(inline_run.scenarios[s].merged.mean_delay_s(),
-              parallel.scenarios[s].merged.mean_delay_s());
-    EXPECT_EQ(inline_run.scenarios[s].merged.data_bits_delivered,
-              parallel.scenarios[s].merged.data_bits_delivered);
-    EXPECT_EQ(serial.scenarios[s].merged.grants, parallel.scenarios[s].merged.grants);
+    EXPECT_EQ(sim::SimMetrics::first_difference(inline_run.scenarios[s].merged,
+                                                parallel.scenarios[s].merged),
+              "");
+    EXPECT_EQ(sim::SimMetrics::first_difference(serial.scenarios[s].merged,
+                                                parallel.scenarios[s].merged),
+              "");
   }
   EXPECT_EQ(sweep::to_csv(inline_run), sweep::to_csv(parallel));
   EXPECT_EQ(sweep::to_csv(serial), sweep::to_csv(parallel));
@@ -300,9 +301,7 @@ TEST(LoadRamp, UnitPeakLeavesSimulationBitIdentical) {
   cfg.load_ramp.rise_s = 1.0;
   cfg.load_ramp.hold_s = 2.0;
   const sim::SimMetrics with_ramp = sim::Simulator(cfg).run();
-  EXPECT_EQ(plain.requests_seen, with_ramp.requests_seen);
-  EXPECT_EQ(plain.mean_delay_s(), with_ramp.mean_delay_s());
-  EXPECT_EQ(plain.data_bits_delivered, with_ramp.data_bits_delivered);
+  EXPECT_EQ(sim::SimMetrics::first_difference(plain, with_ramp), "");
 }
 
 TEST(LoadRamp, FlashCrowdRaisesArrivals) {

@@ -46,44 +46,6 @@ using service::TraceReader;
 using service::TraceRecord;
 using service::TraceWriter;
 
-// EXPECT_EQ on doubles is exact: these helpers pin bit-identity, not
-// closeness.
-void expect_moments_identical(const common::StreamingMoments& a,
-                              const common::StreamingMoments& b) {
-  EXPECT_EQ(a.count(), b.count());
-  EXPECT_EQ(a.mean(), b.mean());
-  EXPECT_EQ(a.variance(), b.variance());
-  EXPECT_EQ(a.min(), b.min());
-  EXPECT_EQ(a.max(), b.max());
-}
-
-void expect_metrics_identical(const sim::SimMetrics& a, const sim::SimMetrics& b) {
-  expect_moments_identical(a.burst_delay_s, b.burst_delay_s);
-  expect_moments_identical(a.queue_delay_s, b.queue_delay_s);
-  expect_moments_identical(a.granted_sgr, b.granted_sgr);
-  expect_moments_identical(a.pending_queue_len, b.pending_queue_len);
-  expect_moments_identical(a.forward_load_fraction, b.forward_load_fraction);
-  expect_moments_identical(a.reverse_rise_db, b.reverse_rise_db);
-  expect_moments_identical(a.voice_sir_error_db, b.voice_sir_error_db);
-  ASSERT_EQ(a.delay_by_distance.size(), b.delay_by_distance.size());
-  for (std::size_t i = 0; i < a.delay_by_distance.size(); ++i) {
-    expect_moments_identical(a.delay_by_distance[i], b.delay_by_distance[i]);
-  }
-  EXPECT_EQ(a.p95_delay_s(), b.p95_delay_s());
-  EXPECT_EQ(a.data_bits_delivered, b.data_bits_delivered);
-  EXPECT_EQ(a.observed_s, b.observed_s);
-  EXPECT_EQ(a.sch_frames, b.sch_frames);
-  EXPECT_EQ(a.sch_outage_frames, b.sch_outage_frames);
-  EXPECT_EQ(a.ber_violation_frames, b.ber_violation_frames);
-  EXPECT_EQ(a.mode_frames, b.mode_frames);
-  EXPECT_EQ(a.requests_seen, b.requests_seen);
-  EXPECT_EQ(a.grants, b.grants);
-  EXPECT_EQ(a.reject_rounds, b.reject_rounds);
-  EXPECT_EQ(a.carrier_hand_downs, b.carrier_hand_downs);
-  EXPECT_EQ(a.bs_power_saturations, b.bs_power_saturations);
-  EXPECT_EQ(a.mobile_power_saturations, b.mobile_power_saturations);
-}
-
 std::int64_t frame_count(const sim::SystemConfig& cfg) {
   return static_cast<std::int64_t>(std::llround(cfg.sim_duration_s / cfg.frame_s));
 }
@@ -362,7 +324,7 @@ void expect_replay_matches_live(const sim::SystemConfig& cfg) {
   // run counted the same arrivals internally (warmup arrivals included:
   // requests_seen is post-warmup only, counters.requests is not).
   EXPECT_GE(replayed.counters.requests, replayed.metrics.requests_seen);
-  expect_metrics_identical(live, replayed.metrics);
+  EXPECT_EQ(sim::SimMetrics::first_difference(live, replayed.metrics), "");
 }
 
 TEST(ReplayBitIdentity, ShrunkE5ReverseLink) {
@@ -430,7 +392,9 @@ TEST(CheckpointRestore, ResumedRunEqualsUninterruptedAcrossSeeds) {
       EXPECT_EQ(resumed.frame_index(), k);
       for (std::int64_t f = k; f < frames; ++f) resumed.step_frame();
 
-      expect_metrics_identical(uninterrupted.metrics(), resumed.metrics());
+      EXPECT_EQ(sim::SimMetrics::first_difference(uninterrupted.metrics(),
+                                                  resumed.metrics()),
+                "");
       for (std::size_t cell = 0; cell < uninterrupted.num_cells(); ++cell) {
         EXPECT_EQ(uninterrupted.forward_power_w(cell), resumed.forward_power_w(cell));
         EXPECT_EQ(uninterrupted.reverse_interference_w(cell),
@@ -645,7 +609,9 @@ TEST(CheckpointRestore, ServiceCheckpointCarriesBufferedInjections) {
     ASSERT_TRUE(a.submit(Event::tick()).ok());
     ASSERT_TRUE(b.submit(Event::tick()).ok());
   }
-  expect_metrics_identical(a.simulator().metrics(), b.simulator().metrics());
+  EXPECT_EQ(sim::SimMetrics::first_difference(a.simulator().metrics(),
+                                              b.simulator().metrics()),
+            "");
 }
 
 // --- Protocol nack paths ----------------------------------------------------
@@ -743,8 +709,9 @@ TEST(AdmissionServiceProtocol, NackedEventsLeaveTheRunBitIdentical) {
     ASSERT_TRUE(clean.submit(Event::tick()).ok());
     ASSERT_TRUE(noisy.submit(Event::tick()).ok());
   }
-  expect_metrics_identical(clean.simulator().metrics(),
-                           noisy.simulator().metrics());
+  EXPECT_EQ(sim::SimMetrics::first_difference(clean.simulator().metrics(),
+                                              noisy.simulator().metrics()),
+            "");
 }
 
 TEST(AdmissionServiceOverload, ShedsRequestsBeyondTheInjectionQueueCap) {
@@ -809,10 +776,13 @@ TEST(AdmissionServiceOverload, ShedEventsLeaveTheRunBitIdentical) {
   EXPECT_EQ(noisy.counters().sheds, sheds_seen);
   EXPECT_EQ(noisy.simulator().metrics().overload_sheds, sheds_seen);
   EXPECT_EQ(clean.counters().sheds, 0);
-  // expect_metrics_identical covers the shared metrics; the shed counter is
-  // the one field that legitimately differs between the two runs.
-  expect_metrics_identical(clean.simulator().metrics(),
-                           noisy.simulator().metrics());
+  // The shed counter is the one field that legitimately differs between
+  // the two runs; every other field must be bit-identical.
+  sim::SimMetrics noisy_metrics = noisy.simulator().metrics();
+  noisy_metrics.overload_sheds = clean.simulator().metrics().overload_sheds;
+  EXPECT_EQ(sim::SimMetrics::first_difference(clean.simulator().metrics(),
+                                              noisy_metrics),
+            "");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // Scenarios use the 7-cell layout and short horizons to stay fast.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
+#include <vector>
 
 #include "src/sim/monte_carlo.hpp"
 #include "src/sim/simulator.hpp"
@@ -65,10 +67,7 @@ TEST(Simulator, DeterministicForSameSeed) {
   Simulator a(cfg), b(cfg);
   const SimMetrics ma = a.run();
   const SimMetrics mb = b.run();
-  EXPECT_EQ(ma.burst_delay_s.count(), mb.burst_delay_s.count());
-  EXPECT_DOUBLE_EQ(ma.mean_delay_s(), mb.mean_delay_s());
-  EXPECT_DOUBLE_EQ(ma.data_bits_delivered, mb.data_bits_delivered);
-  EXPECT_EQ(ma.grants, mb.grants);
+  EXPECT_EQ(SimMetrics::first_difference(ma, mb), "");
 }
 
 TEST(Simulator, DifferentSeedsDiffer) {
@@ -229,7 +228,7 @@ TEST(MonteCarlo, ThreadCountInvariant) {
   for (std::size_t i = 0; i < one.replication_mean_delay_s.size(); ++i) {
     EXPECT_DOUBLE_EQ(one.replication_mean_delay_s[i], two.replication_mean_delay_s[i]);
   }
-  EXPECT_DOUBLE_EQ(one.merged.mean_delay_s(), two.merged.mean_delay_s());
+  EXPECT_EQ(SimMetrics::first_difference(one.merged, two.merged), "");
 }
 
 TEST(MonteCarlo, ReplicationsAreIndependent) {
@@ -252,6 +251,34 @@ TEST(Metrics, MergeAddsEverything) {
   EXPECT_DOUBLE_EQ(a.mean_delay_s(), 2.0);
   EXPECT_EQ(a.grants, 7);
   EXPECT_EQ(a.mode_frames[2], 17);
+}
+
+void perturb(double& x) { x += 1.0; }
+void perturb(std::int64_t& x) { ++x; }
+void perturb(common::StreamingMoments& m) { m.add(1.0); }
+void perturb(common::Histogram& h) { h.add(1.0); }
+template <class T>
+void perturb(std::vector<T>& lane) {
+  perturb(lane.back());
+}
+
+TEST(Metrics, FirstDifferenceNamesEachPerturbedField) {
+  const SimMetrics base;
+  std::vector<std::string> names;
+  SimMetrics::fields([&names](const char* name, const auto&) { names.push_back(name); },
+                     base);
+  EXPECT_EQ(std::set<std::string>(names.begin(), names.end()).size(), names.size());
+  EXPECT_EQ(SimMetrics::first_difference(base, base), "");
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    SimMetrics changed = base;
+    std::size_t k = 0;
+    SimMetrics::fields(
+        [&](const char*, auto& field) {
+          if (k++ == i) perturb(field);
+        },
+        changed);
+    EXPECT_EQ(SimMetrics::first_difference(base, changed), names[i]);
+  }
 }
 
 TEST(Config, ValidateAcceptsDefaults) {

@@ -82,41 +82,43 @@ std::string fmt_double(double v) {
   return buf;
 }
 
-void append_moments(std::string* out, const char* key,
-                    const common::StreamingMoments& m) {
-  *out += std::string(",\"") + key + "\":{\"n\":" + std::to_string(m.count()) +
-          ",\"mean\":" + fmt_double(m.mean()) +
-          ",\"var\":" + fmt_double(m.variance()) +
-          ",\"min\":" + fmt_double(m.min()) + ",\"max\":" + fmt_double(m.max()) +
-          "}";
+void append_json(std::string* out, double v) { *out += fmt_double(v); }
+void append_json(std::string* out, std::int64_t v) { *out += std::to_string(v); }
+void append_json(std::string* out, const common::StreamingMoments& m) {
+  *out += "{\"n\":" + std::to_string(m.count()) + ",\"mean\":" + fmt_double(m.mean()) +
+          ",\"var\":" + fmt_double(m.variance()) + ",\"min\":" + fmt_double(m.min()) +
+          ",\"max\":" + fmt_double(m.max()) + "}";
+}
+void append_json(std::string* out, const common::Histogram& h) {
+  *out += "{\"n\":" + std::to_string(h.count()) + ",\"bins\":[";
+  for (std::size_t i = 0; i < h.bins().size(); ++i) {
+    *out += (i ? "," : "") + std::to_string(h.bins()[i]);
+  }
+  *out += "]}";
+}
+template <class T>
+void append_json(std::string* out, const std::vector<T>& v) {
+  *out += "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i) *out += ",";
+    append_json(out, v[i]);
+  }
+  *out += "]";
 }
 
-/// Deterministic %.17g rendering of every user-visible accumulator, so two
-/// bit-identical runs produce byte-identical files (CI compares with cmp).
+/// Deterministic %.17g rendering of every SimMetrics field (plus the derived
+/// p95 delay), so two bit-identical runs produce byte-identical files (CI
+/// compares with cmp).
 std::string metrics_json(const sim::SimMetrics& m) {
   std::string out = "{\"metrics\":{";
-  out += "\"observed_s\":" + fmt_double(m.observed_s);
-  out += ",\"data_bits_delivered\":" + fmt_double(m.data_bits_delivered);
-  append_moments(&out, "burst_delay_s", m.burst_delay_s);
-  append_moments(&out, "queue_delay_s", m.queue_delay_s);
-  append_moments(&out, "granted_sgr", m.granted_sgr);
-  append_moments(&out, "pending_queue_len", m.pending_queue_len);
-  append_moments(&out, "forward_load_fraction", m.forward_load_fraction);
-  append_moments(&out, "reverse_rise_db", m.reverse_rise_db);
-  append_moments(&out, "voice_sir_error_db", m.voice_sir_error_db);
-  out += ",\"p95_delay_s\":" + fmt_double(m.p95_delay_s());
-  out += ",\"requests_seen\":" + std::to_string(m.requests_seen);
-  out += ",\"grants\":" + std::to_string(m.grants);
-  out += ",\"reject_rounds\":" + std::to_string(m.reject_rounds);
-  out += ",\"carrier_hand_downs\":" + std::to_string(m.carrier_hand_downs);
-  out += ",\"sch_frames\":" + std::to_string(m.sch_frames);
-  out += ",\"sch_outage_frames\":" + std::to_string(m.sch_outage_frames);
-  out += ",\"ber_violation_frames\":" + std::to_string(m.ber_violation_frames);
-  out += ",\"bs_power_saturations\":" + std::to_string(m.bs_power_saturations);
-  out += ",\"mobile_power_saturations\":" +
-         std::to_string(m.mobile_power_saturations);
-  out += ",\"overload_sheds\":" + std::to_string(m.overload_sheds);
-  out += "}}\n";
+  sim::SimMetrics::fields(
+      [&out](const char* name, const auto& field) {
+        out += std::string("\"") + name + "\":";
+        append_json(&out, field);
+        out += ",";
+      },
+      m);
+  out += "\"p95_delay_s\":" + fmt_double(m.p95_delay_s()) + "}}\n";
   return out;
 }
 
