@@ -6,7 +6,7 @@
 
 #include "src/admission/measurement.hpp"
 #include "src/admission/schedulers.hpp"
-#include "src/channel/channel.hpp"
+#include "src/channel/fading.hpp"
 #include "src/common/rng.hpp"
 #include "src/opt/branch_bound.hpp"
 #include "src/opt/knapsack.hpp"

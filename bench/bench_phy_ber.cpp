@@ -10,6 +10,7 @@
 // introduces a small violation floor.
 #include <cstdio>
 
+#include "src/channel/fading.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/table.hpp"
 #include "src/common/units.hpp"

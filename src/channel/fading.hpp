@@ -17,6 +17,13 @@
 
 namespace wcdma::channel {
 
+/// Fast-fading generator of a link (kNone: local mean only).
+enum class FadingKind { kJakes, kAr1, kNone };
+
+/// Sinusoids per quadrature of a Jakes generator unless a caller asks for
+/// another count.
+inline constexpr int kDefaultJakesPaths = 16;
+
 /// Common interface so the simulator can switch generators.
 class FadingProcess {
  public:
@@ -31,7 +38,7 @@ class FadingProcess {
 class JakesFading final : public FadingProcess {
  public:
   /// `paths` sinusoids per quadrature (8-32 typical).
-  JakesFading(double doppler_hz, common::Rng rng, int paths = 16);
+  JakesFading(double doppler_hz, common::Rng rng, int paths = kDefaultJakesPaths);
 
   double step(double dt) override;
   double power_gain() const override;

@@ -15,8 +15,9 @@
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
-#include "src/channel/channel.hpp"
+#include "src/channel/fading.hpp"
 #include "src/channel/path_loss.hpp"
+#include "src/channel/shadowing.hpp"
 #include "src/mac/mac_state.hpp"
 #include "src/phy/adaptation.hpp"
 #include "src/phy/modes.hpp"

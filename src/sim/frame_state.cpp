@@ -54,9 +54,9 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
 
 void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
                            double doppler_hz) {
-  // Stream discipline mirrors the legacy Link construction: link (user, k)
-  // derives user_rng.fork(100 + k); its shadowing process consumes fork(1)
-  // (one initial N(0, sigma) draw), its fading process fork(2).
+  // Stream discipline: link (user, k) derives user_rng.fork(100 + k); its
+  // shadowing consumes fork(1) (one initial N(0, sigma) draw), its fading
+  // fork(2).
   if (fading_kind_ == channel::FadingKind::kAr1) {
     const double rho = channel::Ar1Fading::correlation(doppler_hz, frame_s_);
     fade_rho_[user] = rho;

@@ -39,7 +39,6 @@
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
-#include "src/channel/channel.hpp"
 #include "src/channel/path_loss.hpp"
 #include "src/common/thread_pool.hpp"
 #include "src/mac/mac_state.hpp"

@@ -1,6 +1,7 @@
 // Channel model tests: path-loss slopes, shadowing statistics and spatial
-// correlation, Rayleigh fading moments and Doppler behaviour, composite
-// links, and the CSI feedback pipe.
+// correlation, Rayleigh fading moments and Doppler behaviour, and the CSI
+// feedback pipe.  (The composite link lives in sim::FrameState; see
+// tests/test_frame_state.cpp.)
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -177,48 +178,6 @@ TEST(Ar1Fading, UnitMeanPowerStationary) {
 TEST(Ar1Fading, PowerGainNonNegative) {
   Ar1Fading f(5.0, 0.02, Rng(23));
   for (int i = 0; i < 1000; ++i) EXPECT_GE(f.step(0.02), 0.0);
-}
-
-// ---------------------------------------------------------------- link
-
-TEST(Link, ComposesPathLossShadowFading) {
-  PathLoss pl;
-  LinkConfig cfg;
-  cfg.fading = FadingKind::kNone;
-  Link link(cfg, &pl, Rng(29));
-  link.set_distance(1000.0);
-  // Without fading, instantaneous == mean.
-  EXPECT_DOUBLE_EQ(link.instantaneous_gain(), link.mean_gain());
-  // Mean gain = path loss gain x shadow gain.
-  const double expected =
-      pl.gain_linear(1000.0) * std::pow(10.0, link.shadowing_db() / 10.0);
-  EXPECT_NEAR(link.mean_gain(), expected, expected * 1e-12);
-}
-
-TEST(Link, FadingFactorUnitMean) {
-  PathLoss pl;
-  LinkConfig cfg;
-  cfg.fading = FadingKind::kAr1;
-  cfg.doppler_hz = 30.0;
-  Link link(cfg, &pl, Rng(31));
-  link.set_distance(500.0);
-  StreamingMoments m;
-  for (int i = 0; i < 100000; ++i) {
-    link.step(0.0, 0.02);  // no movement: isolate fading
-    m.add(link.fading_factor());
-  }
-  EXPECT_NEAR(m.mean(), 1.0, 0.03);
-}
-
-TEST(Link, DistanceChangesGain) {
-  PathLoss pl;
-  LinkConfig cfg;
-  cfg.fading = FadingKind::kNone;
-  Link link(cfg, &pl, Rng(37));
-  link.set_distance(200.0);
-  const double near = link.mean_gain();
-  link.set_distance(2000.0);
-  EXPECT_LT(link.mean_gain(), near);
 }
 
 // ---------------------------------------------------------------- feedback

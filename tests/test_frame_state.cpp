@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "src/channel/fading.hpp"
 #include "src/scenario/scenario.hpp"
@@ -125,12 +126,31 @@ TEST(FrameStateFading, LazyReplayMatchesEagerAr1OnTheSameStream) {
 TEST(FrameStateFading, NoneFadingIsUnitGain) {
   const cell::HexLayout layout(cell::HexLayoutConfig{});
   const channel::PathLoss path_loss{channel::PathLossConfig{}};
+  const channel::ShadowingConfig shadowing{};
   sim::FrameState state;
-  state.init(&layout, &path_loss, channel::ShadowingConfig{},
-             channel::FadingKind::kNone, 0.020, 16, 1);
-  state.init_user(0, common::Rng(1), 10.0);
+  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kNone, 0.020, 16, 1);
+  const common::Rng user_rng(1);
+  state.init_user(0, user_rng, 10.0);
   state.advance_frame();
   EXPECT_EQ(state.fading_factor(0, 0), 1.0);
+
+  // With unit fading the instantaneous gain is the local mean, which
+  // composes path loss x shadowing.  A standing mobile (moved_m = 0) keeps
+  // its initial shadow draw, so moving it away from the cell only lowers
+  // the gain.
+  const std::size_t cell_idx = 0;
+  const double shadow_db =
+      user_rng.fork(100 + cell_idx).fork(1).normal(0.0, shadowing.sigma_db);
+  double nearer_gain = std::numeric_limits<double>::infinity();
+  for (const double offset_m : {200.0, 1000.0}) {
+    const cell::Point pos = layout.center(cell_idx) + cell::Point{offset_m, 0.0};
+    state.step_user_links(0, pos, 0.0, &cell_idx, 1);
+    const double d = layout.distance_to_cell(pos, cell_idx);
+    EXPECT_DOUBLE_EQ(state.gain_mean(0, cell_idx),
+                     path_loss.gain_linear(d) * std::pow(10.0, shadow_db / 10.0));
+    EXPECT_LT(state.gain_mean(0, cell_idx), nearer_gain);
+    nearer_gain = state.gain_mean(0, cell_idx);
+  }
 }
 
 // --- Indexed request queues ------------------------------------------------
