@@ -409,19 +409,14 @@ void Simulator::step_reverse_measurements() {
 }
 
 void Simulator::step_power_control() {
-  // Pass A -- SIR measurement, one lane entry per closed-loop update (a
-  // user contributes kRlData, or kForward plus kRlPilot).  Every read is
-  // last frame's powers (received_w, fwd_interference_eff_w, the loops'
-  // cached wattages) and this user's pre-update loop state, so deferring
-  // the loop updates to pass C changes nothing.
-  //
-  // Power control tracks the *local-mean* channel (path loss + shadowing):
-  // the paper assigns the fast-fading component to the adaptive PHY ("the
-  // fast fading component (Xl) is handled by the VTAOC system"), and a
-  // per-frame loop that chased Rayleigh fades would attempt the divergent
-  // E[1/h] inversion.
+  // Pass A -- SIR measurement into the lane, one entry per closed-loop
+  // update.  Power control tracks the *local-mean* channel (path loss +
+  // shadowing): the paper assigns the fast-fading component to the adaptive
+  // PHY ("the fast fading component (Xl) is handled by the VTAOC system"),
+  // and a per-frame loop that chased Rayleigh fades would attempt the
+  // divergent E[1/h] inversion.
   pc_entries_.clear();
-  pc_sir_linear_.clear();
+  pc_lane_.clear();
   for (std::size_t i = 0; i < users_.size(); ++i) {
     User& u = users_[i];
     u.fch_on = u.is_data
@@ -444,7 +439,7 @@ void Simulator::step_power_control() {
       // Reverse-link data user: the FCH rides the reverse link.
       u.fch_sir_linear = std::max(rl_sir, kTiny);
       pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlData});
-      pc_sir_linear_.push_back(u.fch_sir_linear);
+      pc_lane_.push_back(u.fch_sir_linear);
       continue;
     }
     // Forward FCH (voice users and forward data users); their reverse pilot
@@ -453,56 +448,47 @@ void Simulator::step_power_control() {
                           std::max(u.fwd_interference_eff_w, kTiny);
     u.fch_sir_linear = std::max(fl_sir, kTiny);
     pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kForward});
-    pc_sir_linear_.push_back(u.fch_sir_linear);
+    pc_lane_.push_back(u.fch_sir_linear);
     pc_entries_.push_back({static_cast<std::uint32_t>(i), PcKind::kRlPilot});
-    pc_sir_linear_.push_back(std::max(rl_sir, kTiny));
+    pc_lane_.push_back(std::max(rl_sir, kTiny));
   }
 
-  // Pass B -- linear -> dB for every entry.  The conversion math is the
-  // only provider-dependent step: per-element libm on the default path,
-  // the SIMD-dispatched fastmath lane on the relaxed provider.
-  const std::size_t n = pc_entries_.size();
-  pc_sir_db_.resize(n);
+  // Pass B -- linear -> dB, in place.
+  double* lane = pc_lane_.data();
+  const std::size_t n = pc_lane_.size();
   if (fast_math_) {
-    kernels::linear_to_db_lane(pc_sir_linear_.data(), pc_sir_db_.data(), n);
+    kernels::linear_to_db_lane(lane, lane, n);
   } else {
-    for (std::size_t j = 0; j < n; ++j) {
-      pc_sir_db_[j] = common::linear_to_db(pc_sir_linear_[j]);
-    }
+    for (std::size_t j = 0; j < n; ++j) lane[j] = common::linear_to_db(lane[j]);
   }
 
   // Pass C -- step the loops + saturation/voice metrics in ascending user
-  // order (the entry order), queueing each new power in dBW.
-  pc_dbw_.resize(n);
+  // order (the entry order); each slot then holds the new power in dBW.
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
-    const double sir_db = pc_sir_db_[j];
-    power::ClosedLoopPowerControl& pc =
-        pc_entries_[j].kind == PcKind::kForward ? u.fl_pc : u.rl_pc;
-    pc.update(sir_db);
-    if (pc_entries_[j].kind == PcKind::kRlData) {
-      if (pc.saturated() && !in_warmup()) ++metrics_.mobile_power_saturations;
-    } else if (pc_entries_[j].kind == PcKind::kForward && !in_warmup()) {
+    const PcKind kind = pc_entries_[j].kind;
+    power::ClosedLoopPowerControl& pc = kind == PcKind::kForward ? u.fl_pc : u.rl_pc;
+    pc.update(lane[j]);
+    if (!in_warmup() && kind == PcKind::kRlData && pc.saturated()) {
+      ++metrics_.mobile_power_saturations;
+    } else if (!in_warmup() && kind == PcKind::kForward) {
       if (pc.saturated()) ++metrics_.bs_power_saturations;
       if (!u.is_data) {
-        metrics_.voice_sir_error_db.add(sir_db - config_.radio.fch_ebio_target_db);
+        metrics_.voice_sir_error_db.add(lane[j] - config_.radio.fch_ebio_target_db);
       }
     }
-    pc_dbw_[j] = pc.power_dbm() - 30.0;
+    lane[j] = pc.power_dbm() - 30.0;
   }
 
-  // Pass D -- dB -> W for every entry (same math split as pass B), then
-  // commit the loops' cached wattages.
-  pc_watt_.resize(n);
+  // Pass D -- dB -> W in place, then commit the loops' cached wattages.
   if (fast_math_) {
-    kernels::db_to_linear_lane(pc_dbw_.data(), pc_watt_.data(), n);
+    kernels::db_to_linear_lane(lane, lane, n);
   } else {
-    for (std::size_t j = 0; j < n; ++j) pc_watt_[j] = common::db_to_linear(pc_dbw_[j]);
+    for (std::size_t j = 0; j < n; ++j) lane[j] = common::db_to_linear(lane[j]);
   }
   for (std::size_t j = 0; j < n; ++j) {
     User& u = users_[pc_entries_[j].user];
-    (pc_entries_[j].kind == PcKind::kForward ? u.fl_pc : u.rl_pc)
-        .set_power_watt(pc_watt_[j]);
+    (pc_entries_[j].kind == PcKind::kForward ? u.fl_pc : u.rl_pc).set_power_watt(lane[j]);
   }
 }
 

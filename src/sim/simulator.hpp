@@ -280,7 +280,7 @@ class Simulator {
   /// Closed-loop power control for every FCH-on user as one lane-structured
   /// loop: scalar SIR measurement (pass A), linear -> dB (B), loop stepping
   /// and saturation/voice metrics in ascending user order (C), dB -> W and
-  /// commit (D).  No cross-user state flows through power control within a
+  /// commit of the loops' cached wattages (D).  No cross-user state flows through power control within a
   /// frame (every SIR reads last frame's powers and this user's pre-update
   /// loop state), so the split is element-wise identical to a fused
   /// per-user loop.  The conversion math of passes B and D is the only
@@ -378,8 +378,8 @@ class Simulator {
     PcKind kind;
   };
   std::vector<PcEntry> pc_entries_;
-  std::vector<double> pc_sir_linear_, pc_sir_db_;  // pass A -> B lanes
-  std::vector<double> pc_dbw_, pc_watt_;           // pass C -> D lanes
+  /// Aligned with pc_entries_: linear SIR (pass A), dB SIR (B), dBW (C), W (D).
+  std::vector<double> pc_lane_;
   double noise_w_ = 0.0;
   double l_max_w_ = 0.0;
   double mobile_max_w_ = 0.0;  // dbm_to_watt(mobile_max_power_dbm), hoisted

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <string>
 
 #include "src/channel/fading.hpp"
 #include "src/scenario/scenario.hpp"
@@ -31,26 +33,27 @@ sim::SystemConfig small_config() {
 
 // --- sim.threads bit-identity ---------------------------------------------
 
-TEST(SimThreads, OneVsFourThreadsBitIdentical) {
-  sim::SystemConfig cfg = small_config();
+/// Runs `cfg` once per sim.threads value; every run must be bit-identical
+/// to the single-threaded one.
+void expect_thread_count_invariant(sim::SystemConfig cfg,
+                                   std::initializer_list<int> threads) {
   cfg.sim_threads = 1;
   const sim::SimMetrics t1 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 4;
-  const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  EXPECT_EQ(sim::SimMetrics::first_difference(t1, t4), "");
+  for (const int t : threads) {
+    SCOPED_TRACE("sim_threads " + std::to_string(t));
+    cfg.sim_threads = t;
+    EXPECT_EQ(sim::SimMetrics::first_difference(t1, sim::Simulator(cfg).run()), "");
+  }
+}
+
+TEST(SimThreads, OneVsFourThreadsBitIdentical) {
+  expect_thread_count_invariant(small_config(), {4});
 }
 
 TEST(SimThreads, CulledProviderBitIdenticalAcrossThreadCounts) {
   sim::SystemConfig cfg = small_config();
   cfg.csi.provider = "culled";
-  cfg.sim_threads = 1;
-  const sim::SimMetrics t1 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 3;
-  const sim::SimMetrics t3 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 0;  // hardware concurrency
-  const sim::SimMetrics t0 = sim::Simulator(cfg).run();
-  EXPECT_EQ(sim::SimMetrics::first_difference(t1, t3), "");
-  EXPECT_EQ(sim::SimMetrics::first_difference(t1, t0), "");
+  expect_thread_count_invariant(cfg, {3, 0});  // 0: hardware concurrency
 }
 
 TEST(SimThreads, FastProviderBitIdenticalAcrossThreadCounts) {
@@ -61,24 +64,16 @@ TEST(SimThreads, FastProviderBitIdenticalAcrossThreadCounts) {
   // sim_threads = 4 on that basis.
   sim::SystemConfig cfg = small_config();
   cfg.csi.provider = "fast";
-  cfg.sim_threads = 1;
-  const sim::SimMetrics t1 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 4;
-  const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  EXPECT_EQ(sim::SimMetrics::first_difference(t1, t4), "");
+  expect_thread_count_invariant(cfg, {4});
 }
 
 TEST(SimThreads, MultiCarrierScenarioBitIdentical) {
   scenario::ScenarioLayout layout = scenario::enterprise_data();
   layout.sim_duration_s = 8.0;
   layout.warmup_s = 2.0;
-  sim::SystemConfig cfg = layout.to_config();
+  const sim::SystemConfig cfg = layout.to_config();
   ASSERT_EQ(cfg.placement.carriers, 2);
-  cfg.sim_threads = 1;
-  const sim::SimMetrics t1 = sim::Simulator(cfg).run();
-  cfg.sim_threads = 4;
-  const sim::SimMetrics t4 = sim::Simulator(cfg).run();
-  EXPECT_EQ(sim::SimMetrics::first_difference(t1, t4), "");
+  expect_thread_count_invariant(cfg, {4});
 }
 
 TEST(SimThreads, ResolvesHardwareConcurrencyForZero) {
