@@ -63,7 +63,7 @@ struct SimMetrics {
   /// arrivals never cross the service gate.
   std::int64_t overload_sheds = 0;
 
-  /// THE field list.  Calls v("name", m.field...) once per field, in
+  /// The one field list.  Calls v("name", m.field...) once per field, in
   /// declaration order (which is also the checkpoint archive order), over
   /// any number of SimMetrics in lockstep: fields(v, *this) visits one
   /// object, fields(v, *this, other) pairs two.  io(), merge(),
@@ -126,6 +126,7 @@ struct SimMetrics {
                              : 0.0;
   }
 
+ private:
   /// One field through an archive: vectors are fixed-shape lanes, every
   /// other field goes by its C++ type.  `T` may be const for a writer.
   template <class Ar, class T>
