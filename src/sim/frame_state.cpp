@@ -17,7 +17,7 @@ using common::kExp2PerDb;  // one exp2 unit per dB, shared with fastmath
 
 void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
                       const channel::ShadowingConfig& shadowing,
-                      channel::FadingKind fading, double frame_s, int jakes_paths,
+                      channel::FadingKind fading, double frame_s,
                       std::size_t num_users) {
   WCDMA_ASSERT(layout != nullptr && path_loss != nullptr);
   layout_ = layout;
@@ -25,7 +25,6 @@ void FrameState::init(const cell::HexLayout* layout, const channel::PathLoss* pa
   shadowing_ = shadowing;
   fading_kind_ = fading;
   frame_s_ = frame_s;
-  jakes_paths_ = jakes_paths;
   num_users_ = num_users;
   num_cells_ = layout->num_cells();
   frame_ = 0;
@@ -83,7 +82,7 @@ void FrameState::init_user(std::size_t user, const common::Rng& user_rng,
       }
       case channel::FadingKind::kJakes:
         WCDMA_ASSERT(jakes_.size() == idx && "init_user must run in user order");
-        jakes_.emplace_back(doppler_hz, link_rng.fork(2), jakes_paths_);
+        jakes_.emplace_back(doppler_hz, link_rng.fork(2));
         jakes_frame_[idx] = 0;
         break;
       case channel::FadingKind::kNone:

@@ -48,7 +48,7 @@ class FrameState {
  public:
   void init(const cell::HexLayout* layout, const channel::PathLoss* path_loss,
             const channel::ShadowingConfig& shadowing, channel::FadingKind fading,
-            double frame_s, int jakes_paths, std::size_t num_users);
+            double frame_s, std::size_t num_users);
 
   /// Builds one user's per-cell link state from `user_rng`'s per-link
   /// forks (see the stream discipline above).
@@ -187,7 +187,6 @@ class FrameState {
   channel::ShadowingConfig shadowing_{};
   channel::FadingKind fading_kind_ = channel::FadingKind::kAr1;
   double frame_s_ = 0.020;
-  int jakes_paths_ = 16;
   std::size_t num_users_ = 0;
   std::size_t num_cells_ = 0;
   std::int64_t frame_ = 0;

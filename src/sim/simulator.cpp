@@ -96,8 +96,7 @@ Simulator::Simulator(const SystemConfig& config)
 
   const int total_users = config_.voice.users + config_.data.users;
   state_.init(&layout_, &path_loss_, config_.shadowing, config_.fading,
-              config_.frame_s, channel::kDefaultJakesPaths,
-              static_cast<std::size_t>(total_users));
+              config_.frame_s, static_cast<std::size_t>(total_users));
   queues_.init(config_.placement.carriers);
   round_ranges_.assign(static_cast<std::size_t>(config_.placement.carriers) * 2,
                        {0, 0});

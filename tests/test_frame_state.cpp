@@ -98,8 +98,7 @@ TEST(FrameStateFading, LazyReplayMatchesEagerAr1OnTheSameStream) {
   const double doppler = 24.0;
 
   sim::FrameState state;
-  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kAr1, frame_s, 16,
-             1);
+  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kAr1, frame_s, 1);
   const common::Rng user_rng(0xfade);
   state.init_user(0, user_rng, doppler);
 
@@ -123,7 +122,7 @@ TEST(FrameStateFading, NoneFadingIsUnitGain) {
   const channel::PathLoss path_loss{channel::PathLossConfig{}};
   const channel::ShadowingConfig shadowing{};
   sim::FrameState state;
-  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kNone, 0.020, 16, 1);
+  state.init(&layout, &path_loss, shadowing, channel::FadingKind::kNone, 0.020, 1);
   const common::Rng user_rng(1);
   state.init_user(0, user_rng, 10.0);
   state.advance_frame();

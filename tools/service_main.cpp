@@ -84,17 +84,11 @@ std::string fmt_double(double v) {
 
 void append_json(std::string* out, double v) { *out += fmt_double(v); }
 void append_json(std::string* out, std::int64_t v) { *out += std::to_string(v); }
+void append_json(std::string* out, std::uint64_t v) { *out += std::to_string(v); }
 void append_json(std::string* out, const common::StreamingMoments& m) {
   *out += "{\"n\":" + std::to_string(m.count()) + ",\"mean\":" + fmt_double(m.mean()) +
           ",\"var\":" + fmt_double(m.variance()) + ",\"min\":" + fmt_double(m.min()) +
           ",\"max\":" + fmt_double(m.max()) + "}";
-}
-void append_json(std::string* out, const common::Histogram& h) {
-  *out += "{\"n\":" + std::to_string(h.count()) + ",\"bins\":[";
-  for (std::size_t i = 0; i < h.bins().size(); ++i) {
-    *out += (i ? "," : "") + std::to_string(h.bins()[i]);
-  }
-  *out += "]}";
 }
 template <class T>
 void append_json(std::string* out, const std::vector<T>& v) {
@@ -104,6 +98,11 @@ void append_json(std::string* out, const std::vector<T>& v) {
     append_json(out, v[i]);
   }
   *out += "]";
+}
+void append_json(std::string* out, const common::Histogram& h) {
+  *out += "{\"n\":" + std::to_string(h.count()) + ",\"bins\":";
+  append_json(out, h.bins());
+  *out += "}";
 }
 
 /// Deterministic %.17g rendering of every SimMetrics field (plus the derived
