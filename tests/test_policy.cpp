@@ -109,8 +109,9 @@ TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
 // one seed, so a stream-discipline bug that only shifts *other* seeds'
 // trajectories (e.g. an extra RNG draw gated on a seed-dependent branch)
 // could slip through.  Three more master seeds, same shrunk E5 point,
-// pinned bit-exactly from the PR 7 tree.  The culled row pins the culling
-// provider (the path the burst-service benchmark runs) on the same point.
+// pinned bit-exactly from the PR 7 tree.
+// The culled row pins the culling provider (the path the burst-service
+// benchmark runs) on the same point.
 TEST(GoldenMetrics, ShrunkE5IsBitIdenticalAcrossThreeMasterSeeds) {
   struct Golden {
     const char* provider;
