@@ -3,37 +3,37 @@
 // or under the target, as background voice load eats the power/interference
 // budget.
 //
-// Expected shape: capacity falls with voice load for every scheduler, and
+// Expected shape: capacity falls with voice load for every policy, and
 // JABA-SD supports at least as many users as the baselines at every load.
 //
-// Runs on the sweep engine: the full (voice x scheduler x data-users) grid
+// Runs on the sweep engine: the full (voice x policy x data-users) grid
 // is evaluated in one parallel sweep (no early break: single-run noise is
 // not monotone), then capacity is read off the merged delays per cell of
 // the grid.
 #include <cstdio>
+#include <string>
+#include <vector>
 
-#include "bench/bench_util.hpp"
+#include "src/common/table.hpp"
 #include "src/common/thread_pool.hpp"
+#include "src/scenario/experiments.hpp"
 #include "src/sweep/sweep.hpp"
 
 using namespace wcdma;
-using namespace wcdma::bench;
 
 namespace {
 constexpr double kDelayTarget = 5.0;  // seconds
 
 const std::vector<int> kVoiceGrid = {0, 30, 60};
 const std::vector<int> kDataGrid = {6, 9, 12, 15, 18};
-const std::vector<admission::SchedulerKind> kSchedulers = {
-    admission::SchedulerKind::kJabaSd, admission::SchedulerKind::kFcfs,
-    admission::SchedulerKind::kEqualShare};
+const std::vector<std::string> kPolicies = {"jaba-sd", "fcfs", "equal-share"};
 }  // namespace
 
 int main() {
   sweep::SweepSpec spec;
   spec.name = "E6-capacity";
-  spec.base = hotspot_config(4003);
-  spec.axes = {sweep::axis_voice_users(kVoiceGrid), sweep::axis_scheduler(kSchedulers),
+  spec.base = scenario::hotspot_cell_config(4003);
+  spec.axes = {sweep::axis_voice_users(kVoiceGrid), sweep::axis_policy(kPolicies),
                sweep::axis_data_users(kDataGrid)};
   spec.replications = 3;
   spec.common_random_numbers = true;  // paired comparison across grid cells
@@ -41,10 +41,10 @@ int main() {
   const sweep::SweepResult result =
       sweep::run_sweep(spec, common::default_thread_count());
 
-  common::Table t({"voice-users", "scheduler", "capacity(data-users)",
+  common::Table t({"voice-users", "policy", "capacity(data-users)",
                    "delay@capacity(s)"});
   for (std::size_t v = 0; v < kVoiceGrid.size(); ++v) {
-    for (std::size_t k = 0; k < kSchedulers.size(); ++k) {
+    for (std::size_t k = 0; k < kPolicies.size(); ++k) {
       int capacity = 0;
       double delay_at_capacity = 0.0;
       for (std::size_t d = 0; d < kDataGrid.size(); ++d) {
@@ -54,7 +54,7 @@ int main() {
           delay_at_capacity = delay;
         }
       }
-      t.add_row({std::to_string(kVoiceGrid[v]), to_string(kSchedulers[k]),
+      t.add_row({std::to_string(kVoiceGrid[v]), kPolicies[k],
                  std::to_string(capacity),
                  common::format_double(delay_at_capacity, 4)});
     }

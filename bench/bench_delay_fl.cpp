@@ -20,7 +20,7 @@ int main() {
   const sweep::SweepResult result =
       sweep::run_sweep(scenario::e4_delay_fl(), common::default_thread_count());
 
-  common::Table t({"data-users", "scheduler", "mean-delay(s)", "p95-delay(s)",
+  common::Table t({"data-users", "policy", "mean-delay(s)", "p95-delay(s)",
                    "throughput(kbps)", "grant-rate", "mean-SGR"});
   for (const sweep::ScenarioResult& s : result.scenarios) {
     const Row r = metrics_to_row(s.merged);

@@ -22,7 +22,7 @@ int main() {
   const sweep::SweepResult result =
       sweep::run_sweep(scenario::e8_synergy(), common::default_thread_count());
 
-  common::Table t({"PHY", "scheduler", "mean-delay(s)", "p95-delay(s)",
+  common::Table t({"PHY", "policy", "mean-delay(s)", "p95-delay(s)",
                    "throughput(kbps)", "mean-SGR"});
   for (const sweep::ScenarioResult& s : result.scenarios) {
     const Row r = metrics_to_row(s.merged);

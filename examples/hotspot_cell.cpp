@@ -4,8 +4,8 @@
 // matters — compare JABA-SD against the cdma2000 FCFS and equal-share
 // baselines in one congested cell.
 //
-// Runs on the sweep engine: one scheduler axis over every implemented
-// scheduler, evaluated in parallel with deterministic per-scenario seeds.
+// Runs on the sweep engine: one policy axis over every scheduler-backed
+// policy, evaluated in parallel with deterministic per-scenario seeds.
 #include "src/common/thread_pool.hpp"
 #include "src/sweep/sweep.hpp"
 
@@ -23,12 +23,10 @@ int main() {
   // Confine mobility to the central cell -> hotspot.
   spec.base.mobility.region_radius_m = spec.base.layout.cell_radius_m;
   spec.base.seed = 77;
-  spec.axes = {sweep::axis_scheduler(
-      {admission::SchedulerKind::kJabaSd, admission::SchedulerKind::kGreedy,
-       admission::SchedulerKind::kFcfs, admission::SchedulerKind::kFcfsSingle,
-       admission::SchedulerKind::kEqualShare, admission::SchedulerKind::kRandom})};
+  spec.axes = {sweep::axis_policy(
+      {"jaba-sd", "jaba-sd-greedy", "fcfs", "fcfs-single", "equal-share", "random"})};
   spec.replications = 1;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
+  spec.common_random_numbers = true;  // paired comparison across policies
 
   const sweep::SweepResult result =
       sweep::run_sweep(spec, common::default_thread_count());

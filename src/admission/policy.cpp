@@ -107,8 +107,6 @@ SchedulerPolicy::SchedulerPolicy(std::unique_ptr<Scheduler> scheduler)
   WCDMA_ASSERT(scheduler_ != nullptr);
 }
 
-std::string SchedulerPolicy::name() const { return scheduler_->name(); }
-
 std::vector<PolicyGrant> SchedulerPolicy::decide(const FrameContext& ctx,
                                                  mac::LinkDirection direction, int carrier,
                                                  const std::vector<std::size_t>& round) {
@@ -174,36 +172,36 @@ std::vector<PolicyGrant> HandDownPolicy::decide(const FrameContext& ctx,
 
 namespace {
 
+/// One registry row: a policy name, its scheduler, and whether that
+/// scheduler runs behind HandDownPolicy instead of SchedulerPolicy.
 struct PolicyEntry {
   const char* name;
   const char* description;
-  std::unique_ptr<AdmissionPolicy> (*build)(std::uint64_t seed);
+  std::unique_ptr<Scheduler> (*scheduler)(std::uint64_t seed);
+  bool hand_down = false;
 };
 
-template <SchedulerKind Kind>
-std::unique_ptr<AdmissionPolicy> build_scheduler_policy(std::uint64_t seed) {
-  return std::make_unique<SchedulerPolicy>(make_scheduler(Kind, seed));
+template <class S, class... Args>
+std::unique_ptr<Scheduler> build(Args... args) {
+  return std::make_unique<S>(args...);
 }
 
-std::unique_ptr<AdmissionPolicy> build_hand_down(std::uint64_t seed) {
-  return std::make_unique<HandDownPolicy>(make_scheduler(SchedulerKind::kJabaSd, seed));
-}
+std::unique_ptr<Scheduler> build_jaba_sd(std::uint64_t) { return build<JabaSdScheduler>(); }
 
 const PolicyEntry kPolicies[] = {
-    {"jaba-sd", "the paper's IP solve (exact B&B, greedy beyond threshold)",
-     build_scheduler_policy<SchedulerKind::kJabaSd>},
+    {"jaba-sd", "the paper's IP solve (exact B&B, greedy beyond threshold)", build_jaba_sd},
     {"jaba-sd-greedy", "pure polynomial greedy marginal-utility engine",
-     build_scheduler_policy<SchedulerKind::kGreedy>},
+     [](std::uint64_t) { return build<GreedyScheduler>(); }},
     {"fcfs", "cdma2000-style first-come-first-serve burst grants",
-     build_scheduler_policy<SchedulerKind::kFcfs>},
+     [](std::uint64_t) { return build<FcfsScheduler>(false); }},
     {"fcfs-single", "strict single-burst-per-frame FCFS",
-     build_scheduler_policy<SchedulerKind::kFcfsSingle>},
+     [](std::uint64_t) { return build<FcfsScheduler>(true); }},
     {"equal-share", "equal sharing between concurrent burst requests",
-     build_scheduler_policy<SchedulerKind::kEqualShare>},
+     [](std::uint64_t) { return build<EqualShareScheduler>(); }},
     {"random", "random-order max-grant fairness baseline",
-     build_scheduler_policy<SchedulerKind::kRandom>},
+     [](std::uint64_t seed) { return build<RandomScheduler>(common::Rng(seed)); }},
     {"hand-down", "JABA-SD plus inter-carrier hand-down of rejected requests",
-     build_hand_down},
+     build_jaba_sd, /*hand_down=*/true},
 };
 
 const PolicyEntry* find_policy(const std::string& name) {
@@ -211,6 +209,12 @@ const PolicyEntry* find_policy(const std::string& name) {
     if (name == entry.name) return &entry;
   }
   return nullptr;
+}
+
+const PolicyEntry& registered_policy(const std::string& name) {
+  const PolicyEntry* entry = find_policy(name);
+  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
+  return *entry;
 }
 
 }  // namespace
@@ -224,27 +228,20 @@ std::vector<std::string> policy_names() {
 bool has_policy(const std::string& name) { return find_policy(name) != nullptr; }
 
 std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name, std::uint64_t seed) {
-  const PolicyEntry* entry = find_policy(name);
-  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
-  return entry->build(seed);
+  const PolicyEntry& entry = registered_policy(name);
+  std::unique_ptr<Scheduler> scheduler = entry.scheduler(seed);
+  if (entry.hand_down) return std::make_unique<HandDownPolicy>(std::move(scheduler));
+  return std::make_unique<SchedulerPolicy>(std::move(scheduler));
+}
+
+std::unique_ptr<Scheduler> make_scheduler(const std::string& name, std::uint64_t seed) {
+  const PolicyEntry& entry = registered_policy(name);
+  WCDMA_ASSERT(!entry.hand_down && "policy is not scheduler-backed");
+  return entry.scheduler(seed);
 }
 
 std::string policy_description(const std::string& name) {
-  const PolicyEntry* entry = find_policy(name);
-  WCDMA_ASSERT(entry != nullptr && "unknown admission policy");
-  return entry->description;
-}
-
-const char* policy_name(SchedulerKind kind) {
-  switch (kind) {
-    case SchedulerKind::kJabaSd: return "jaba-sd";
-    case SchedulerKind::kGreedy: return "jaba-sd-greedy";
-    case SchedulerKind::kFcfs: return "fcfs";
-    case SchedulerKind::kFcfsSingle: return "fcfs-single";
-    case SchedulerKind::kEqualShare: return "equal-share";
-    case SchedulerKind::kRandom: return "random";
-  }
-  return "jaba-sd";
+  return registered_policy(name).description;
 }
 
 }  // namespace wcdma::admission

@@ -13,8 +13,8 @@
 // policy rather than a simulator edit.
 //
 // A string-keyed registry (mirroring the sweep preset registry) constructs
-// policies by name so new schemes are drop-in plugins: SystemConfig, sweep
-// axes (policy=...), and the sweep_main CLI all plumb the name through.
+// policies by name so new schemes are drop-in plugins: SystemConfig, the
+// sweep policy axis, and the sweep_main CLI all plumb the name through.
 #pragma once
 
 #include <cstdint>
@@ -123,7 +123,6 @@ class AdmissionPolicy {
   virtual std::vector<PolicyGrant> decide(const FrameContext& ctx,
                                           mac::LinkDirection direction, int carrier,
                                           const std::vector<std::size_t>& round) = 0;
-  virtual std::string name() const = 0;
 
   /// Checkpoint hooks, forwarded to the wrapped scheduler where one exists;
   /// policies without evolved state keep the empty default.
@@ -133,15 +132,13 @@ class AdmissionPolicy {
 
 /// Adapts a scheduling-sub-layer Scheduler (Section 3.2) to the policy API:
 /// builds the round's BurstProblem on the requests' own carrier and grants
-/// the scheduler's allocation verbatim.  All six legacy schedulers ship
-/// through this wrapper; the default-policy path is bit-identical to the
-/// pre-seam simulator.
+/// the scheduler's allocation verbatim.  All six scheduler-backed registry
+/// names ship through this wrapper.
 class SchedulerPolicy final : public AdmissionPolicy {
  public:
   explicit SchedulerPolicy(std::unique_ptr<Scheduler> scheduler);
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
-  std::string name() const override;
   void save_state(common::BinaryWriter& w) const override { scheduler_->save_state(w); }
   void load_state(common::BinaryReader& r) override { scheduler_->load_state(r); }
 
@@ -165,7 +162,6 @@ class HandDownPolicy final : public AdmissionPolicy {
   explicit HandDownPolicy(std::unique_ptr<Scheduler> scheduler);
   std::vector<PolicyGrant> decide(const FrameContext& ctx, mac::LinkDirection direction,
                                   int carrier, const std::vector<std::size_t>& round) override;
-  std::string name() const override { return "HandDown"; }
   void save_state(common::BinaryWriter& w) const override { scheduler_->save_state(w); }
   void load_state(common::BinaryReader& r) override { scheduler_->load_state(r); }
 
@@ -174,6 +170,9 @@ class HandDownPolicy final : public AdmissionPolicy {
 };
 
 // --- PolicyRegistry: string-keyed factories --------------------------------
+// The registry key ("jaba-sd", "fcfs", ...) is the only name of an admission
+// policy: configs, sweep labels, trace headers and snapshot fingerprints all
+// carry it.
 /// Registered policy names, in registry order.
 std::vector<std::string> policy_names();
 bool has_policy(const std::string& name);
@@ -181,9 +180,9 @@ bool has_policy(const std::string& name);
 /// `seed` feeds stochastic policies (the "random" baseline).
 std::unique_ptr<AdmissionPolicy> make_policy(const std::string& name,
                                              std::uint64_t seed = 1);
+/// Builds the scheduler behind a scheduler-backed policy name (every name
+/// but "hand-down", which reuses "jaba-sd"'s); aborts on any other name.
+std::unique_ptr<Scheduler> make_scheduler(const std::string& name, std::uint64_t seed = 1);
 std::string policy_description(const std::string& name);
-/// Registry name of a legacy SchedulerKind (backward compatibility shim for
-/// configs that still speak the enum).
-const char* policy_name(SchedulerKind kind);
 
 }  // namespace wcdma::admission

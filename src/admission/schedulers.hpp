@@ -13,12 +13,11 @@
 //  * RandomScheduler — random-order max-grant; fairness/sanity reference.
 //
 // All schedulers return assignments that satisfy the admissible region and
-// the per-request bounds by construction.
+// the per-request bounds by construction.  They are built by registry name
+// (admission::make_scheduler, src/admission/policy.hpp).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/admission/objectives.hpp"
@@ -63,7 +62,6 @@ class Scheduler {
  public:
   virtual ~Scheduler() = default;
   virtual Allocation schedule(const BurstProblem& problem) = 0;
-  virtual std::string name() const = 0;
 
   /// Checkpoint hooks: only stochastic schedulers carry evolved state (the
   /// "random" baseline's RNG); deterministic solvers keep the empty default.
@@ -80,7 +78,6 @@ class JabaSdScheduler final : public Scheduler {
   JabaSdScheduler();
   explicit JabaSdScheduler(const Options& options);
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "JABA-SD"; }
 
  private:
   Options options_;
@@ -90,7 +87,6 @@ class JabaSdScheduler final : public Scheduler {
 class GreedyScheduler final : public Scheduler {
  public:
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "JABA-SD-greedy"; }
 };
 
 class FcfsScheduler final : public Scheduler {
@@ -99,7 +95,6 @@ class FcfsScheduler final : public Scheduler {
   /// early-cdma2000 behaviour where one data user owns the SCH).
   explicit FcfsScheduler(bool single_burst = false) : single_burst_(single_burst) {}
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return single_burst_ ? "FCFS-single" : "FCFS"; }
 
  private:
   bool single_burst_;
@@ -108,14 +103,12 @@ class FcfsScheduler final : public Scheduler {
 class EqualShareScheduler final : public Scheduler {
  public:
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "EqualShare"; }
 };
 
 class RandomScheduler final : public Scheduler {
  public:
   explicit RandomScheduler(common::Rng rng) : rng_(rng) {}
   Allocation schedule(const BurstProblem& problem) override;
-  std::string name() const override { return "Random"; }
   template <class Ar>
   void io(Ar& ar) {
     ar(rng_);
@@ -126,12 +119,5 @@ class RandomScheduler final : public Scheduler {
  private:
   common::Rng rng_;
 };
-
-enum class SchedulerKind { kJabaSd, kGreedy, kFcfs, kFcfsSingle, kEqualShare, kRandom };
-
-const char* to_string(SchedulerKind k);
-
-/// Factory used by the simulator/bench configuration.
-std::unique_ptr<Scheduler> make_scheduler(SchedulerKind kind, std::uint64_t seed = 1);
 
 }  // namespace wcdma::admission

@@ -3,7 +3,6 @@
 namespace wcdma::scenario {
 
 using admission::ObjectiveKind;
-using admission::SchedulerKind;
 
 sim::SystemConfig hotspot_cell_config(std::uint64_t seed) {
   sim::SystemConfig cfg = sim::default_config();
@@ -29,11 +28,8 @@ sim::SystemConfig wide_area_config(std::uint64_t seed) {
   return cfg;
 }
 
-const std::vector<SchedulerKind>& headline_schedulers() {
-  static const std::vector<SchedulerKind> kinds = {
-      SchedulerKind::kJabaSd, SchedulerKind::kGreedy, SchedulerKind::kFcfs,
-      SchedulerKind::kFcfsSingle, SchedulerKind::kEqualShare};
-  return kinds;
+std::vector<std::string> headline_policies() {
+  return {"jaba-sd", "jaba-sd-greedy", "fcfs", "fcfs-single", "equal-share"};
 }
 
 sweep::SweepSpec e4_delay_fl() {
@@ -42,9 +38,9 @@ sweep::SweepSpec e4_delay_fl() {
   spec.base = hotspot_cell_config(4001);
   spec.base.data.forward_fraction = 1.0;  // all downloads
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
-               sweep::axis_scheduler(headline_schedulers())};
+               sweep::axis_policy(headline_policies())};
   spec.replications = 3;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
+  spec.common_random_numbers = true;  // paired comparison across policies
   return spec;
 }
 
@@ -54,9 +50,9 @@ sweep::SweepSpec e5_delay_rl() {
   spec.base = hotspot_cell_config(4002);
   spec.base.data.forward_fraction = 0.0;  // all uploads
   spec.axes = {sweep::axis_data_users({4, 8, 12, 16, 20, 24}),
-               sweep::axis_scheduler(headline_schedulers())};
+               sweep::axis_policy(headline_policies())};
   spec.replications = 3;
-  spec.common_random_numbers = true;  // paired comparison across schedulers
+  spec.common_random_numbers = true;  // paired comparison across policies
   return spec;
 }
 
@@ -66,7 +62,7 @@ sweep::SweepSpec e8_synergy() {
   spec.base = hotspot_cell_config(4008);
   spec.base.data.users = 20;
   spec.axes = {sweep::axis_fixed_mode({0, 3}),
-               sweep::axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfsSingle})};
+               sweep::axis_policy({"jaba-sd", "fcfs-single"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // every cell of the 2x2 sees one drop
   return spec;

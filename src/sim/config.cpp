@@ -28,10 +28,7 @@ double LoadRampConfig::scale(double now_s, std::size_t cell) const {
 }
 
 const SystemConfig& SystemConfig::validate() const {
-  if (!admission.policy.empty()) {
-    WCDMA_ASSERT(admission::has_policy(admission.policy) &&
-                 "unknown admission policy name");
-  }
+  WCDMA_ASSERT(admission::has_policy(admission.policy) && "unknown admission policy name");
   WCDMA_ASSERT(has_channel_provider(csi.provider) &&
                "unknown channel-state provider name");
   WCDMA_ASSERT(csi.refresh_interval_s > 0.0);

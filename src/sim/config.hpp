@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "src/admission/objectives.hpp"
-#include "src/admission/schedulers.hpp"
 #include "src/cell/active_set.hpp"
 #include "src/cell/geometry.hpp"
 #include "src/cell/mobility.hpp"
@@ -71,12 +70,8 @@ struct PhyScenario {
 };
 
 struct AdmissionScenario {
-  /// Admission policy by registry name (admission::policy_names()).  Empty
-  /// selects the legacy `scheduler` enum below via admission::policy_name();
-  /// non-empty wins over it.  Policies beyond the six schedulers (e.g.
-  /// "hand-down") are only reachable through this string.
-  std::string policy;
-  admission::SchedulerKind scheduler = admission::SchedulerKind::kJabaSd;
+  /// Admission policy by registry name (admission::policy_names()).
+  std::string policy = "jaba-sd";
   admission::ObjectiveKind objective = admission::ObjectiveKind::kJ2DelayAware;
   admission::DelayPenaltyConfig penalty{};
   double min_burst_s = 0.080;  // T_min of Eq. 24 (4 frames)

@@ -24,14 +24,6 @@ double bench_clock_s() {
   return std::chrono::duration<double>(now).count();
 }
 
-/// Registry name of the configured admission policy: the explicit string
-/// wins; the legacy SchedulerKind enum is the fallback.
-std::string resolved_policy_name(const SystemConfig& config) {
-  return config.admission.policy.empty()
-             ? admission::policy_name(config.admission.scheduler)
-             : config.admission.policy;
-}
-
 power::PowerControlConfig forward_pc_config(const RadioConfig& radio) {
   power::PowerControlConfig cfg;
   cfg.target_sir_db = radio.fch_ebio_target_db;
@@ -57,9 +49,7 @@ Simulator::Simulator(const SystemConfig& config)
       spreading_(config.spreading),
       policy_(phy::make_vtaoc_modes(config.phy.vtaoc), config.phy.target_ber,
               config.phy.floor),
-      admission_policy_name_(resolved_policy_name(config)),
-      admission_policy_(
-          admission::make_policy(admission_policy_name_, config.seed ^ 0x5cedu)),
+      admission_policy_(admission::make_policy(config.admission.policy, config.seed ^ 0x5cedu)),
       csi_(make_channel_provider(config.csi)),
       rng_(config.seed) {
   config_.validate();
@@ -645,7 +635,7 @@ void Simulator::build_frame_context() {
           }
           std::sort(ranked.begin(), ranked.end(),
                     [](const auto& a, const auto& b) { return a.first > b.first; });
-          const std::size_t n_report = std::min<std::size_t>(ranked.size(), 8);
+          const std::size_t n_report = std::min(ranked.size(), mac::kMaxScrmPilots);
           for (std::size_t n = 0; n < n_report; ++n) {
             r.scrm_pilots.push_back({ranked[n].second, ranked[n].first});
           }
@@ -925,7 +915,7 @@ void Simulator::io_header(Ar& ar) {
   ar.expect(layout_.num_cells());
   ar.expect(config_.placement.carriers);
   ar.expect(config_.frame_s);
-  ar.expect(admission_policy_name_);
+  ar.expect(config_.admission.policy);
   ar.expect(csi_->name());
 }
 

@@ -8,10 +8,7 @@ namespace wcdma::sweep {
 namespace {
 
 using admission::ObjectiveKind;
-using admission::SchedulerKind;
-
-const std::vector<SchedulerKind> kCoreSchedulers = {
-    SchedulerKind::kJabaSd, SchedulerKind::kFcfs, SchedulerKind::kEqualShare};
+const std::vector<std::string> kCorePolicies = {"jaba-sd", "fcfs", "equal-share"};
 
 /// The paper's 19-cell wide-area setting, shortened to a CI-friendly horizon.
 SweepSpec paper_default() {
@@ -22,7 +19,7 @@ SweepSpec paper_default() {
   spec.base.warmup_s = 5.0;
   spec.base.data.mean_reading_s = 1.5;
   spec.base.seed = 2001042;
-  spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({8, 16})};
+  spec.axes = {axis_policy(kCorePolicies), axis_data_users({8, 16})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -41,7 +38,7 @@ SweepSpec hotspot_cell() {
   spec.base.sim_duration_s = 50.0;
   spec.base.warmup_s = 8.0;
   spec.base.seed = 7701;
-  spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({8, 16, 24})};
+  spec.axes = {axis_policy(kCorePolicies), axis_data_users({8, 16, 24})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -61,7 +58,7 @@ SweepSpec highway_mobility() {
   spec.base.warmup_s = 6.0;
   spec.base.seed = 8803;
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_policy({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -109,35 +106,35 @@ SweepSpec degraded_channel() {
 
 // --- Multi-cell scenario presets (src/scenario layouts) ------------------
 
-/// Uniformly loaded 7-cell grid: schedulers x overall load scale.
+/// Uniformly loaded 7-cell grid: policies x overall load scale.
 SweepSpec uniform_hex7() {
   SweepSpec spec;
   spec.name = "uniform-hex7";
   spec.base = scenario::uniform_hex7().to_config();
-  spec.axes = {axis_scheduler(kCoreSchedulers), axis_load_scale({0.75, 1.0, 1.25})};
+  spec.axes = {axis_policy(kCorePolicies), axis_load_scale({0.75, 1.0, 1.25})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
-/// 19-cell hotspot-centre layout: schedulers x data load in the hotspot.
+/// 19-cell hotspot-centre layout: policies x data load in the hotspot.
 SweepSpec hotspot_center() {
   SweepSpec spec;
   spec.name = "hotspot-center";
   spec.base = scenario::hotspot_center().to_config();
-  spec.axes = {axis_scheduler(kCoreSchedulers), axis_data_users({16, 24, 32})};
+  spec.axes = {axis_policy(kCorePolicies), axis_data_users({16, 24, 32})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
 }
 
-/// Vehicular corridor through a 19-cell grid: speed x schedulers.
+/// Vehicular corridor through a 19-cell grid: speed x policies.
 SweepSpec highway_corridor() {
   SweepSpec spec;
   spec.name = "highway-corridor";
   spec.base = scenario::highway_corridor().to_config();
   spec.axes = {axis_max_speed_kmh({60.0, 90.0, 120.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_policy({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -206,7 +203,7 @@ SweepSpec carrier_balance() {
 /// Flash crowd on the hotspot-centre layout: a trapezoidal arrival pulse
 /// (2x..4x) hits the centre cell and its first ring mid-run -- the "dynamic
 /// per-cell load over time" scenario the static hotspot weights cannot
-/// express.  Peak scale x scheduler, so the delay blow-up and recovery are
+/// express.  Peak scale x policy, so the delay blow-up and recovery are
 /// directly comparable across admission schemes.
 SweepSpec flash_crowd() {
   SweepSpec spec;
@@ -226,7 +223,7 @@ SweepSpec flash_crowd() {
   // value 1 doubles as the no-ramp control cell of the sweep.
   spec.base = layout.to_config();
   spec.axes = {axis_load_ramp_peak({1.0, 2.0, 4.0}),
-               axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+               axis_policy({"jaba-sd", "fcfs"})};
   spec.replications = 2;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -259,7 +256,7 @@ SweepSpec smoke() {
   spec.base.sim_duration_s = 6.0;
   spec.base.warmup_s = 1.0;
   spec.base.seed = 1105;
-  spec.axes = {axis_scheduler({SchedulerKind::kJabaSd, SchedulerKind::kFcfs})};
+  spec.axes = {axis_policy({"jaba-sd", "fcfs"})};
   spec.replications = 1;
   spec.common_random_numbers = true;  // paired comparison across the grid
   return spec;
@@ -272,18 +269,18 @@ struct PresetEntry {
 };
 
 const PresetEntry kPresets[] = {
-    {"paper-default", "19-cell wide area, headline schedulers x data load",
+    {"paper-default", "19-cell wide area, headline policies x data load",
      paper_default},
-    {"hotspot-cell", "single congested cell, schedulers x data load", hotspot_cell},
-    {"highway-mobility", "vehicular speeds 60-120 km/h x schedulers",
+    {"hotspot-cell", "single congested cell, policies x data load", hotspot_cell},
+    {"highway-mobility", "vehicular speeds 60-120 km/h x policies",
      highway_mobility},
     {"data-heavy", "download-dominated mix, data load x objective", data_heavy},
     {"degraded-channel", "steep path loss, shadowing x adaptive-vs-fixed PHY",
      degraded_channel},
-    {"uniform-hex7", "uniform 7-cell grid, schedulers x load scale", uniform_hex7},
-    {"hotspot-center", "19-cell hotspot centre, schedulers x data load",
+    {"uniform-hex7", "uniform 7-cell grid, policies x load scale", uniform_hex7},
+    {"hotspot-center", "19-cell hotspot centre, policies x data load",
      hotspot_center},
-    {"highway-corridor", "vehicular corridor cells, speed x schedulers",
+    {"highway-corridor", "vehicular corridor cells, speed x policies",
      highway_corridor},
     {"enterprise-data", "data-heavy enterprise mix, carriers x objective",
      enterprise_data},
@@ -293,7 +290,7 @@ const PresetEntry kPresets[] = {
      large_hex},
     {"carrier-balance", "inter-carrier hand-down vs JABA-SD, two carriers",
      carrier_balance},
-    {"flash-crowd", "hotspot-centre arrival pulse, ramp peak x schedulers",
+    {"flash-crowd", "hotspot-centre arrival pulse, ramp peak x policies",
      flash_crowd},
     {"sim-threads", "intra-frame thread count x provider, bit-identity proof",
      sim_threads},

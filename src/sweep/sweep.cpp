@@ -68,16 +68,6 @@ Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas) {
   return axis;
 }
 
-Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds) {
-  Axis axis{"scheduler", {}};
-  for (auto kind : kinds) {
-    axis.values.push_back({admission::to_string(kind), [kind](sim::SystemConfig& cfg) {
-                             cfg.admission.scheduler = kind;
-                           }});
-  }
-  return axis;
-}
-
 Axis axis_policy(const std::vector<std::string>& names) {
   Axis axis{"policy", {}};
   for (const std::string& name : names) {

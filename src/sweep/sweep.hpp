@@ -42,9 +42,7 @@ Axis axis_max_speed_kmh(const std::vector<double>& kmh);
 /// Switches to the log-distance model with the given exponents.
 Axis axis_path_loss_exponent(const std::vector<double>& exponents);
 Axis axis_shadowing_sigma_db(const std::vector<double>& sigmas);
-Axis axis_scheduler(const std::vector<admission::SchedulerKind>& kinds);
-/// Admission policy by registry name (admission::policy_names()); reaches
-/// policies the SchedulerKind enum cannot (e.g. "hand-down").
+/// Admission policy by registry name (admission::policy_names()).
 Axis axis_policy(const std::vector<std::string>& names);
 /// Channel-state provider by registry name ("exhaustive", "culled").
 Axis axis_csi_provider(const std::vector<std::string>& names);

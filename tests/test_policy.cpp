@@ -18,28 +18,34 @@
 namespace wcdma {
 namespace {
 
+// The registry key is the only name of a policy: every entry builds, is
+// what the simulator reports back, and (bar hand-down, which reuses
+// jaba-sd's) names a scheduler of its own.
 TEST(PolicyRegistry, RoundTripsEveryRegisteredName) {
   const std::vector<std::string> names = admission::policy_names();
   ASSERT_GE(names.size(), 7u);  // six schedulers + hand-down
+  sim::SystemConfig cfg = sim::default_config();
+  cfg.layout.rings = 1;
+  cfg.voice.users = 4;
+  cfg.data.users = 2;
+  cfg.sim_duration_s = 2.0;
+  cfg.warmup_s = 0.5;
+  const sim::Simulator defaults(cfg);
+  EXPECT_EQ(defaults.policy_name(), "jaba-sd");
+  EXPECT_EQ(defaults.channel_provider_name(), "exhaustive");
   for (const std::string& name : names) {
     SCOPED_TRACE(name);
     EXPECT_TRUE(admission::has_policy(name));
     EXPECT_FALSE(admission::policy_description(name).empty());
-    const auto policy = admission::make_policy(name, 7);
-    ASSERT_NE(policy, nullptr);
-    EXPECT_FALSE(policy->name().empty());
+    EXPECT_NE(admission::make_policy(name, 7), nullptr);
+    if (name != "hand-down") {
+      EXPECT_NE(admission::make_scheduler(name, 7), nullptr);
+    }
+    cfg.admission.policy = name;
+    EXPECT_EQ(sim::Simulator(cfg).policy_name(), name);
   }
   EXPECT_FALSE(admission::has_policy("no-such-policy"));
   EXPECT_FALSE(admission::has_policy(""));
-}
-
-TEST(PolicyRegistry, LegacySchedulerKindsMapToRegisteredNames) {
-  using admission::SchedulerKind;
-  for (SchedulerKind kind :
-       {SchedulerKind::kJabaSd, SchedulerKind::kGreedy, SchedulerKind::kFcfs,
-        SchedulerKind::kFcfsSingle, SchedulerKind::kEqualShare, SchedulerKind::kRandom}) {
-    EXPECT_TRUE(admission::has_policy(admission::policy_name(kind)));
-  }
 }
 
 TEST(ChannelProviderRegistry, RoundTripsEveryRegisteredName) {
@@ -58,23 +64,6 @@ TEST(ChannelProviderRegistry, RoundTripsEveryRegisteredName) {
   EXPECT_FALSE(sim::has_channel_provider("no-such-provider"));
 }
 
-TEST(PolicyRegistry, SimulatorResolvesExplicitPolicyOverEnum) {
-  sim::SystemConfig cfg = sim::default_config();
-  cfg.layout.rings = 1;
-  cfg.voice.users = 4;
-  cfg.data.users = 2;
-  cfg.sim_duration_s = 2.0;
-  cfg.warmup_s = 0.5;
-  cfg.admission.scheduler = admission::SchedulerKind::kJabaSd;
-  cfg.admission.policy = "fcfs";
-  const sim::Simulator simulator(cfg);
-  // Registry keys, so the names round-trip through make_policy().
-  EXPECT_EQ(simulator.policy_name(), "fcfs");
-  EXPECT_TRUE(admission::has_policy(simulator.policy_name()));
-  EXPECT_EQ(simulator.channel_provider_name(), "exhaustive");
-  EXPECT_TRUE(sim::has_channel_provider(simulator.channel_provider_name()));
-}
-
 // --- Golden bit-identity: default policy + exhaustive provider ------------
 // Values captured from the pre-refactor simulator (PR 2 tree) running the
 // same configs; the seam refactor must not perturb a single bit.
@@ -85,7 +74,7 @@ TEST(GoldenMetrics, ShrunkE5RunIsBitIdenticalToPreRefactor) {
   spec.base.sim_duration_s = 8.0;
   spec.base.warmup_s = 2.0;
   spec.axes = {sweep::axis_data_users({4, 8}),
-               sweep::axis_scheduler({admission::SchedulerKind::kJabaSd})};
+               sweep::axis_policy({"jaba-sd"})};
   spec.replications = 2;
   const sweep::SweepResult r = sweep::run_sweep(spec, 0);
   ASSERT_EQ(r.scenarios.size(), 2u);
@@ -139,7 +128,7 @@ TEST(GoldenMetrics, ShrunkE5IsBitIdenticalAcrossThreeMasterSeeds) {
     spec.base.sim_duration_s = 8.0;
     spec.base.warmup_s = 2.0;
     spec.axes = {sweep::axis_data_users({6}),
-                 sweep::axis_scheduler({admission::SchedulerKind::kJabaSd})};
+                 sweep::axis_policy({"jaba-sd"})};
     spec.replications = 2;
     const sweep::SweepResult r = sweep::run_sweep(spec, 0);
     ASSERT_EQ(r.scenarios.size(), 1u);
@@ -168,7 +157,7 @@ TEST(GoldenMetrics, FastProviderShrunkE5WithinPinnedTolerances) {
   spec.base.warmup_s = 2.0;
   spec.base.csi.provider = "fast";
   spec.axes = {sweep::axis_data_users({4, 8}),
-               sweep::axis_scheduler({admission::SchedulerKind::kJabaSd})};
+               sweep::axis_policy({"jaba-sd"})};
   spec.replications = 2;
   const sweep::SweepResult r = sweep::run_sweep(spec, 0);
   ASSERT_EQ(r.scenarios.size(), 2u);
@@ -210,25 +199,6 @@ TEST(GoldenMetrics, DefaultNineteenCellRunIsBitIdenticalToPreRefactor) {
   EXPECT_EQ(m.reverse_rise_db.mean(), 1.9151694279634321);
   EXPECT_EQ(m.forward_load_fraction.mean(), 0.22418013411970059);
   EXPECT_EQ(m.carrier_hand_downs, 0);
-}
-
-TEST(GoldenMetrics, ExplicitPolicyStringMatchesLegacyEnumPath) {
-  sim::SystemConfig cfg = sim::default_config();
-  cfg.layout.rings = 1;
-  cfg.voice.users = 10;
-  cfg.data.users = 6;
-  cfg.sim_duration_s = 6.0;
-  cfg.warmup_s = 1.0;
-  cfg.seed = 4242;
-
-  cfg.admission.scheduler = admission::SchedulerKind::kEqualShare;
-  cfg.admission.policy.clear();
-  const sim::SimMetrics via_enum = sim::Simulator(cfg).run();
-
-  cfg.admission.policy = "equal-share";
-  const sim::SimMetrics via_string = sim::Simulator(cfg).run();
-
-  EXPECT_EQ(sim::SimMetrics::first_difference(via_enum, via_string), "");
 }
 
 // --- Exhaustive vs culled provider equivalence ----------------------------

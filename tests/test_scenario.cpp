@@ -211,8 +211,7 @@ TEST(MigratedBenches, E5MergedMetricsAreThreadCountInvariant) {
   spec.base.sim_duration_s = 4.0;
   spec.base.warmup_s = 1.0;
   spec.axes = {sweep::axis_data_users({2, 4}),
-               sweep::axis_scheduler({admission::SchedulerKind::kJabaSd,
-                                      admission::SchedulerKind::kFcfs})};
+               sweep::axis_policy({"jaba-sd", "fcfs"})};
   spec.replications = 2;
 
   const sweep::SweepResult inline_run = sweep::run_sweep(spec, 0);

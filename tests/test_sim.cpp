@@ -281,10 +281,11 @@ TEST(Metrics, FirstDifferenceNamesEachPerturbedField) {
   }
 }
 
-TEST(Config, ValidateAcceptsDefaults) {
-  const SystemConfig cfg = default_config();
+TEST(Config, ValidateAcceptsDefaultsAndRejectsUnknownPolicy) {
+  SystemConfig cfg = default_config();
   cfg.validate();  // must not abort
-  SUCCEED();
+  cfg.admission.policy = "no-such-policy";
+  EXPECT_DEATH(cfg.validate(), "unknown admission policy");
 }
 
 }  // namespace

@@ -22,9 +22,7 @@ SweepSpec tiny_spec() {
   spec.base.warmup_s = 1.0;
   spec.base.data.mean_reading_s = 1.0;
   spec.base.seed = 991;
-  spec.axes = {axis_scheduler({admission::SchedulerKind::kJabaSd,
-                               admission::SchedulerKind::kFcfs}),
-               axis_data_users({2, 4})};
+  spec.axes = {axis_policy({"jaba-sd", "fcfs"}), axis_data_users({2, 4})};
   spec.replications = 3;
   return spec;
 }
@@ -55,12 +53,12 @@ TEST(SweepSpec, MixedRadixDecodeIsRowMajor) {
 TEST(SweepSpec, AxesApplyTheirKnobs) {
   SweepSpec spec;
   spec.base = sim::default_config();
-  spec.axes = {axis_scheduler({admission::SchedulerKind::kEqualShare}),
+  spec.axes = {axis_policy({"equal-share"}),
                axis_objective({admission::ObjectiveKind::kJ1MaxRate}),
                axis_max_speed_kmh({90.0}), axis_path_loss_exponent({4.5}),
                axis_fixed_mode({3})};
   const Scenario s = spec.scenario(0);
-  EXPECT_EQ(s.config.admission.scheduler, admission::SchedulerKind::kEqualShare);
+  EXPECT_EQ(s.config.admission.policy, "equal-share");
   EXPECT_EQ(s.config.admission.objective, admission::ObjectiveKind::kJ1MaxRate);
   EXPECT_NEAR(s.config.mobility.max_speed_mps, 25.0, 1e-9);
   EXPECT_EQ(s.config.path_loss.kind, channel::PathLossModelKind::kLogDistance);
@@ -187,8 +185,8 @@ TEST(RunSweep, ResultLookupByValueIndices) {
   spec.replications = 1;
   const SweepResult result = run_sweep(spec, 0);
   const ScenarioResult& s = result.at({1, 0});
-  EXPECT_EQ(s.index, 2u);  // FCFS (index 1) x data_users=2 (index 0)
-  EXPECT_EQ(s.labels[0], "FCFS");
+  EXPECT_EQ(s.index, 2u);  // fcfs (index 1) x data_users=2 (index 0)
+  EXPECT_EQ(s.labels[0], "fcfs");
   EXPECT_EQ(s.labels[1], "2");
 }
 
@@ -200,11 +198,11 @@ TEST(Emission, CsvAndJsonShape) {
   std::size_t lines = 0;
   for (char ch : csv) lines += ch == '\n' ? 1 : 0;
   EXPECT_EQ(lines, spec.scenario_count() + 1);  // header + one line per scenario
-  EXPECT_EQ(csv.rfind("scenario,scheduler,data_users,", 0), 0u);
+  EXPECT_EQ(csv.rfind("scenario,policy,data_users,", 0), 0u);
 
   const std::string json = to_json(result);
   EXPECT_EQ(json.front(), '[');
-  EXPECT_NE(json.find("\"scheduler\": \"JABA-SD\""), std::string::npos);
+  EXPECT_NE(json.find("\"policy\": \"jaba-sd\""), std::string::npos);
   EXPECT_NE(json.find("\"mean_delay_s\": "), std::string::npos);
 }
 

@@ -331,34 +331,27 @@ int main(int argc, char** argv) {
   }
 
   sweep::SweepSpec spec = sweep::make_preset(preset);
-  // A forced policy must win over the preset's own axes, which apply on top
-  // of the base config: collapse any scheduler/policy axis to the single
-  // forced value (the axis column survives with one value, so the output
-  // stays truthful).  Likewise for a forced channel-state provider.
+  // A forced value must win over the preset's own axes, which apply on top
+  // of the base config: collapse the matching axis to the single forced
+  // value (the axis column survives with one value, so the output stays
+  // truthful).
+  auto force_axis = [&spec](const sweep::Axis& forced) {
+    for (sweep::Axis& axis : spec.axes) {
+      if (axis.name == forced.name) axis = forced;
+    }
+  };
   if (!policy.empty()) {
     spec.base.admission.policy = policy;
-    for (sweep::Axis& axis : spec.axes) {
-      if (axis.name == "policy" || axis.name == "scheduler") {
-        axis = sweep::axis_policy({policy});
-      }
-    }
+    force_axis(sweep::axis_policy({policy}));
   }
   if (!csi_provider.empty()) {
     spec.base.csi.provider = csi_provider;
-    for (sweep::Axis& axis : spec.axes) {
-      if (axis.name == "csi_provider") {
-        axis = sweep::axis_csi_provider({csi_provider});
-      }
-    }
+    force_axis(sweep::axis_csi_provider({csi_provider}));
   }
   if (have_replications) spec.replications = replications;
   if (have_sim_threads) {
     spec.base.sim_threads = static_cast<int>(sim_threads);
-    for (sweep::Axis& axis : spec.axes) {
-      if (axis.name == "sim_threads") {
-        axis = sweep::axis_sim_threads({static_cast<int>(sim_threads)});
-      }
-    }
+    force_axis(sweep::axis_sim_threads({static_cast<int>(sim_threads)}));
   }
   if (have_seed) spec.base.seed = seed;
   if (have_duration) spec.base.sim_duration_s = duration_s;
