@@ -99,6 +99,23 @@ class HexLayout {
     return best_sq;
   }
 
+  /// Exactly `distance_to_cell(p, k) <= radius_m`, decided in the squared
+  /// domain.  distance_sq_to_cell carries a few ulps of relative error, so
+  /// outside a kRadiusGuard relative band around radius_m^2 its verdict
+  /// cannot differ from the reference's; only points inside the band pay
+  /// the reference hypot.
+  bool cell_within(Point p, std::size_t k, double radius_m) const {
+    const double sq = distance_sq_to_cell(p, k);
+    const double radius_sq = radius_m * radius_m;
+    if (sq < radius_sq * (1.0 - kRadiusGuard)) return true;
+    if (sq > radius_sq * (1.0 + kRadiusGuard)) return false;
+    return distance_to_cell(p, k) <= radius_m;
+  }
+
+  /// Relative guard band of cell_within(): far wider than the rounding of
+  /// either distance form, far narrower than any geometry of interest.
+  static constexpr double kRadiusGuard = 1e-9;
+
   /// Index of the nearest cell (wrap-aware).
   std::size_t nearest_cell(Point p) const;
 

@@ -51,6 +51,14 @@ class ExhaustiveChannelProvider final : public ChannelStateProvider {
 /// `fast_math` the same candidate/epoch machinery drives the FrameState's
 /// relaxed-precision link kernels instead of the bit-identical ones -- the
 /// registry exposes that composition as the "fast" provider.
+///
+/// A refresh tests only the user's skin list: the cells within
+/// radius + kSkinScale * cell radius of the position where the list was
+/// built (a Verlet neighbour list).  The wrap distance is 1-Lipschitz in
+/// position, so while the user stays within the skin of that anchor no
+/// cell off the list can be within the radius, and the candidate set is
+/// exactly the full-scan one.  Skin lists and spare set buffers are caches
+/// rebuilt from state; they stay out of io(), and restore starts them empty.
 class CulledChannelProvider final : public ChannelStateProvider {
  public:
   CulledChannelProvider(const CsiConfig& csi, bool fast_math)
@@ -63,9 +71,13 @@ class CulledChannelProvider final : public ChannelStateProvider {
     state_ = state;
     state_->set_fast_math(fast_math_);
     radius_m_ = csi_.cull_radius_scale * layout_->cell_radius_m();
-    radius_sq_m_ = radius_m_ * radius_m_;
+    const double skin_m = kSkinScale * layout_->cell_radius_m();
+    const double reach_m = radius_m_ + skin_m;
+    skin_move_sq_m_ = skin_m * skin_m * (1.0 - cell::HexLayout::kRadiusGuard);
+    skin_reach_sq_m_ = reach_m * reach_m * (1.0 + cell::HexLayout::kRadiusGuard);
     candidates_.assign(num_users, {});
     refresh_left_s_.assign(num_users, 0.0);
+    caches_.assign(num_users, {});
     epoch_.store(1, std::memory_order_relaxed);
   }
 
@@ -101,23 +113,42 @@ class CulledChannelProvider final : public ChannelStateProvider {
     ar.fixed(candidates_, [&](auto& c) { ar.var(c, 4, [&](auto& k) { ar.u32(k); }); });
   }
   void save_state(common::BinaryWriter& w) const override { w(*this); }
-  void load_state(common::BinaryReader& r) override { r(*this); }
+  void load_state(common::BinaryReader& r) override {
+    r(*this);
+    for (UserCache& cache : caches_) cache.skin.clear();
+  }
 
  private:
+  /// Skin width as a multiple of the cell radius: wide enough that a
+  /// vehicular user keeps one list for tens of refreshes, narrow enough
+  /// that the list stays close to the candidate set itself.
+  static constexpr double kSkinScale = 0.5;
+
+  /// Per-user caches, all rebuildable from (position, layout).  An empty
+  /// skin list means "none yet": the next refresh scans every cell.
+  struct UserCache {
+    std::vector<std::size_t> spare;  // next candidate set, swapped in
+    std::vector<std::size_t> skin;   // ascending cells within reach of anchor
+    cell::Point anchor;
+  };
+
   void refresh(std::size_t user, cell::Point pos, const ChannelUserView& view) {
     refresh_left_s_[user] = csi_.refresh_interval_s;
-    std::vector<std::size_t> next;
-    if (fast_math_) {
-      // Same radius test in the squared domain: no hypot per (user, cell).
-      // (Kept off the reference `culled` path only to preserve its pinned
-      // bit-exact trajectories; the comparison is mathematically the same.)
+    UserCache& cache = caches_[user];
+    const cell::Point d = pos - cache.anchor;
+    if (cache.skin.empty() || d.x * d.x + d.y * d.y > skin_move_sq_m_) {
+      cache.anchor = pos;
+      cache.skin.clear();
       for (std::size_t k = 0; k < layout_->num_cells(); ++k) {
-        if (layout_->distance_sq_to_cell(pos, k) <= radius_sq_m_) next.push_back(k);
+        if (layout_->distance_sq_to_cell(pos, k) <= skin_reach_sq_m_) {
+          cache.skin.push_back(k);
+        }
       }
-    } else {
-      for (std::size_t k = 0; k < layout_->num_cells(); ++k) {
-        if (layout_->distance_to_cell(pos, k) <= radius_m_) next.push_back(k);
-      }
+    }
+    std::vector<std::size_t>& next = cache.spare;
+    next.clear();
+    for (std::size_t k : cache.skin) {
+      if (layout_->cell_within(pos, k, radius_m_)) next.push_back(k);
     }
     // Active-set members stay candidates until hand-off drops them, even
     // when the user has moved past the radius (hysteresis consistency).
@@ -126,14 +157,23 @@ class CulledChannelProvider final : public ChannelStateProvider {
       if (it == next.end() || *it != k) next.insert(it, k);
     }
     if (next.empty()) next.push_back(layout_->nearest_cell(pos));
-    // Cells leaving the set must stop contributing to interference sums.
-    for (std::size_t k : candidates_[user]) {
-      if (!std::binary_search(next.begin(), next.end(), k)) {
+    // One merge walk over the two ascending sets: cells leaving the set
+    // must stop contributing to interference sums, and any difference at
+    // all moves the epoch.
+    const std::vector<std::size_t>& prev = candidates_[user];
+    bool changed = prev.size() != next.size();
+    std::size_t j = 0;
+    for (std::size_t k : prev) {
+      while (j < next.size() && next[j] < k) ++j;
+      if (j < next.size() && next[j] == k) {
+        ++j;
+      } else {
         state_->clear_gain(user, k);
+        changed = true;
       }
     }
-    if (next != candidates_[user]) epoch_.fetch_add(1, std::memory_order_relaxed);
-    candidates_[user] = std::move(next);
+    if (changed) epoch_.fetch_add(1, std::memory_order_relaxed);
+    candidates_[user].swap(next);
   }
 
   CsiConfig csi_;
@@ -141,9 +181,11 @@ class CulledChannelProvider final : public ChannelStateProvider {
   const cell::HexLayout* layout_ = nullptr;
   FrameState* state_ = nullptr;
   double radius_m_ = 0.0;
-  double radius_sq_m_ = 0.0;
+  double skin_move_sq_m_ = 0.0;   // (skin)^2, guarded low
+  double skin_reach_sq_m_ = 0.0;  // (radius + skin)^2, guarded high
   std::vector<std::vector<std::size_t>> candidates_;
   std::vector<double> refresh_left_s_;
+  std::vector<UserCache> caches_;
   std::atomic<std::uint64_t> epoch_{1};
 };
 

@@ -108,6 +108,14 @@ class Simulator {
   /// every frame, and the epoch must move whenever any set changed.
   bool csi_index_consistent() const { return state_.candidate_index_matches(*csi_); }
   std::uint64_t csi_candidate_epoch() const { return csi_->candidate_epoch(); }
+  /// The provider's live candidate set and the user's soft-handoff active
+  /// set, for the candidate-set property tests.
+  const std::vector<std::size_t>& user_candidate_cells(std::size_t user) const {
+    return csi_->cells_for(user);
+  }
+  const cell::ActiveSet& user_active_set(std::size_t user) const {
+    return users_[user].active_set;
+  }
   /// True when the far-field aggregator is live (culling provider with
   /// csi.far_field.enabled); the default exhaustive path keeps it off.
   bool far_field_active() const { return far_field_.active(); }

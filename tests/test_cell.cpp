@@ -105,6 +105,68 @@ TEST(HexLayout, WrapTranslationsHaveClusterMagnitude) {
   }
 }
 
+// cell_within() must decide exactly like the reference hypot test.
+bool reference_within(const HexLayout& layout, Point p, std::size_t k, double r) {
+  return layout.distance_to_cell(p, k) <= r;
+}
+
+TEST(HexLayout, CellWithinMatchesReferenceOnRandomPoints) {
+  Rng rng(11);
+  for (int rings = 1; rings <= 6; ++rings) {
+    for (const bool wrap : {true, false}) {
+      HexLayoutConfig cfg;
+      cfg.rings = rings;
+      cfg.wrap_around = wrap;
+      cfg.cell_radius_m = rng.uniform(100.0, 2000.0);
+      const HexLayout layout(cfg);
+      for (int trial = 0; trial < 100; ++trial) {
+        // Points up to 1.5x beyond the layout disc, radii up to 5 cells.
+        const Point p = 1.5 * layout.random_point(rng.uniform(), rng.uniform());
+        const double r = rng.uniform(0.0, 5.0) * cfg.cell_radius_m;
+        for (std::size_t k = 0; k < layout.num_cells(); ++k) {
+          ASSERT_EQ(layout.cell_within(p, k, r), reference_within(layout, p, k, r))
+              << "rings=" << rings << " wrap=" << wrap << " cell " << k;
+        }
+      }
+    }
+  }
+}
+
+TEST(HexLayout, CellWithinMatchesReferenceOnTheRadiusBoundary) {
+  // Points r * (1 + n * 2^-52) from every wrap image of every cell: the
+  // squared and hypot forms disagree only within a few ulps of r, so this
+  // is where a plain squared-domain test would flip.  The 1 +/- 1e-9
+  // factors also walk both edges of the guard band.
+  const double ulp = std::ldexp(1.0, -52);
+  Rng rng(13);
+  for (int rings = 1; rings <= 6; ++rings) {
+    for (const bool wrap : {true, false}) {
+      HexLayoutConfig cfg;
+      cfg.rings = rings;
+      cfg.wrap_around = wrap;
+      const HexLayout layout(cfg);
+      std::vector<Point> shifts{{0.0, 0.0}};
+      for (const Point& t : layout.wrap_translations()) shifts.push_back(t);
+      const double r = rng.uniform(0.5, 4.0) * cfg.cell_radius_m;
+      for (std::size_t k = 0; k < layout.num_cells(); ++k) {
+        for (const Point& shift : shifts) {
+          const Point image = layout.center(k) + shift;
+          const double theta = rng.uniform(0.0, 2.0 * M_PI);
+          const Point dir{std::cos(theta), std::sin(theta)};
+          for (const double band : {1.0, 1.0 - 1e-9, 1.0 + 1e-9}) {
+            for (int n = -8; n <= 8; ++n) {
+              const Point p = image + (r * band * (1.0 + n * ulp)) * dir;
+              ASSERT_EQ(layout.cell_within(p, k, r), reference_within(layout, p, k, r))
+                  << "rings=" << rings << " wrap=" << wrap << " cell " << k
+                  << " n=" << n << " band=" << band;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------- mobility
 
 TEST(RandomWaypoint, StaysInRegion) {

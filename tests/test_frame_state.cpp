@@ -1,15 +1,20 @@
 // Tests for the SoA hot-path rework: deterministic intra-frame parallelism
 // (sim.threads bit-identity), the lazy-fading replay equivalence against an
-// eagerly-stepped channel::Ar1Fading on the same stream, and the indexed
-// per-(direction, carrier) request queues against the O(users) scan.
+// eagerly-stepped channel::Ar1Fading on the same stream, the indexed
+// per-(direction, carrier) request queues against the O(users) scan, and the
+// culling providers' incremental candidate sets against a brute-force scan.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <initializer_list>
 #include <limits>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "src/cell/geometry.hpp"
 #include "src/channel/fading.hpp"
+#include "src/common/rng.hpp"
 #include "src/scenario/scenario.hpp"
 #include "src/sim/channel_state.hpp"
 #include "src/sim/frame_state.hpp"
@@ -197,6 +202,129 @@ TEST(RequestQueues, MatchesFullScanUnderHandDown) {
         << "frame " << f;
   }
   EXPECT_GT(simulator.metrics().carrier_hand_downs, 0);
+}
+
+// --- Culling candidate sets -------------------------------------------------
+
+enum class Roaming { kUniform, kHotspot, kCorridor };
+
+/// A small random culling world: ring count, cell size, speeds, cull
+/// radius and refresh cadence all drawn from `seed`.  Speeds reach 90 m/s
+/// so users outrun their skin lists within a few seconds.
+sim::SystemConfig random_culling_world(std::uint64_t seed, Roaming roaming,
+                                       const std::string& provider, int threads) {
+  common::Rng rng(seed);
+  scenario::ScenarioLayout s = roaming == Roaming::kCorridor
+                                   ? scenario::highway_corridor()
+                                   : scenario::uniform_hex7();
+  s.layout.rings = 1 + static_cast<int>(rng.uniform_int(3));
+  s.layout.cell_radius_m = rng.uniform(300.0, 1200.0);
+  switch (roaming) {
+    case Roaming::kUniform:
+      s.placement.cell_weights = scenario::uniform_weights(s.layout.rings);
+      break;
+    case Roaming::kHotspot:
+      s.placement.cell_weights = scenario::hotspot_weights(s.layout.rings, 8.0);
+      break;
+    case Roaming::kCorridor:
+      s.placement.cell_weights =
+          scenario::corridor_weights(s.layout, 0.5 * s.layout.cell_radius_m);
+      s.corridor_half_width_m = 0.5 * s.layout.cell_radius_m;
+      break;
+  }
+  s.max_speed_mps = rng.uniform(s.min_speed_mps, 90.0);
+  s.voice_users = 24;
+  s.data_users = 12;
+  s.seed = seed;
+  sim::SystemConfig cfg = s.to_config();
+  cfg.csi.provider = provider;
+  cfg.csi.cull_radius_scale = rng.uniform(1.0, 3.5);
+  const double refresh_s[] = {0.02, 0.1, 0.5};
+  cfg.csi.refresh_interval_s = refresh_s[rng.uniform_int(3)];
+  cfg.sim_threads = threads;
+  return cfg;
+}
+
+/// Steps `simulator` `frames` times.  After every candidate refresh (the
+/// providers' per-user timer, which all users share, is mirrored in
+/// `refresh_left_s`) each user's set must equal the brute-force one: every
+/// cell within the cull radius by the reference distance, plus the active
+/// set the refresh saw, or the nearest cell when that is empty.
+void expect_exact_candidate_sets(sim::Simulator& simulator, int frames,
+                                 double& refresh_left_s) {
+  const sim::SystemConfig& cfg = simulator.config();
+  const cell::HexLayout layout(cfg.layout);
+  const double radius_m = cfg.csi.cull_radius_scale * cfg.layout.cell_radius_m;
+  std::vector<std::vector<std::size_t>> members(simulator.num_users());
+  for (int f = 0; f < frames; ++f) {
+    for (std::size_t u = 0; u < members.size(); ++u) {
+      members[u] = simulator.user_active_set(u).members();
+    }
+    simulator.step_frame();
+    refresh_left_s -= cfg.frame_s;
+    if (refresh_left_s > 0.0) continue;
+    refresh_left_s = cfg.csi.refresh_interval_s;
+    for (std::size_t u = 0; u < members.size(); ++u) {
+      const cell::Point pos = simulator.user_position(u);
+      std::set<std::size_t> expected(members[u].begin(), members[u].end());
+      for (std::size_t k = 0; k < layout.num_cells(); ++k) {
+        if (layout.distance_to_cell(pos, k) <= radius_m) expected.insert(k);
+      }
+      if (expected.empty()) expected.insert(layout.nearest_cell(pos));
+      ASSERT_EQ(simulator.user_candidate_cells(u),
+                std::vector<std::size_t>(expected.begin(), expected.end()))
+          << "frame " << simulator.frame_index() << " user " << u;
+    }
+  }
+}
+
+TEST(CandidateSets, MatchBruteForceAtEveryRefresh) {
+  std::uint64_t seed = 500;
+  for (const char* provider : {"culled", "fast"}) {
+    for (const Roaming roaming :
+         {Roaming::kUniform, Roaming::kHotspot, Roaming::kCorridor}) {
+      for (const int threads : {1, 4}) {
+        const sim::SystemConfig cfg =
+            random_culling_world(++seed, roaming, provider, threads);
+        SCOPED_TRACE(std::string(provider) + " roaming " +
+                     std::to_string(static_cast<int>(roaming)) + " threads " +
+                     std::to_string(threads) + " seed " + std::to_string(seed));
+        sim::Simulator simulator(cfg);
+        double refresh_left_s = 0.0;
+        expect_exact_candidate_sets(simulator, 500, refresh_left_s);
+      }
+    }
+  }
+}
+
+TEST(CandidateSets, MatchBruteForceAfterRestoreBetweenRefreshes) {
+  // restore() empties the providers' skin lists, here onto a simulator
+  // whose lists were built elsewhere on the same trajectory; the first
+  // refresh after it rebuilds them by a full scan and must land on the
+  // same sets.
+  std::uint64_t seed = 700;
+  for (const char* provider : {"culled", "fast"}) {
+    for (const Roaming roaming :
+         {Roaming::kUniform, Roaming::kHotspot, Roaming::kCorridor}) {
+      sim::SystemConfig cfg = random_culling_world(++seed, roaming, provider, 1);
+      cfg.csi.refresh_interval_s = 0.1;  // refreshes at frames 1, 6, 11, ...
+      SCOPED_TRACE(std::string(provider) + " roaming " +
+                   std::to_string(static_cast<int>(roaming)));
+      sim::Simulator first(cfg);
+      double refresh_left_s = 0.0;
+      expect_exact_candidate_sets(first, 63, refresh_left_s);
+      double first_left_s = refresh_left_s;
+      cfg.sim_threads = 4;  // the thread count is not part of the archive
+      sim::Simulator resumed(cfg);
+      for (int f = 0; f < 140; ++f) resumed.step_frame();
+      ASSERT_TRUE(resumed.restore(first.snapshot()));
+      expect_exact_candidate_sets(resumed, 120, refresh_left_s);
+      // And the resumed run stays on the uninterrupted trajectory.
+      expect_exact_candidate_sets(first, 120, first_left_s);
+      EXPECT_EQ(sim::SimMetrics::first_difference(first.metrics(), resumed.metrics()),
+                "");
+    }
+  }
 }
 
 // --- Sweep-level integration ----------------------------------------------

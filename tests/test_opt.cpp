@@ -1,10 +1,13 @@
 // Optimisation substrate tests: simplex on known LPs and edge cases, exact
 // branch-and-bound verified against exhaustive enumeration on randomized
-// instances, the DP knapsack cross-check, and greedy dominance properties.
+// instances, the node-limited search against the greedy floor, the DP
+// knapsack cross-check, and greedy dominance properties.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
 
 #include "src/common/rng.hpp"
 #include "src/opt/branch_bound.hpp"
@@ -246,6 +249,43 @@ TEST(BranchBound, ZeroValueVariablesStayZeroCostless) {
   p.upper = {5, 5};
   const IpResult r = BranchBoundSolver().solve(p);
   EXPECT_NEAR(r.objective, 5.0, 1e-9);
+}
+
+TEST(BranchBound, NodeLimitedSolveStaysFeasibleAndBeatsGreedy) {
+  // A search cut off by max_nodes must still return an admissible point no
+  // worse than the greedy incumbent, and must not claim optimality.  The
+  // depth-first search is deterministic, so a limited solve is a prefix of
+  // the full one: it stopped at the limit iff the full solve needed more
+  // nodes than the limit allows.
+  Rng rng(314);
+  int cut_off = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t n = 4 + rng.uniform_int(7);  // 4..10 variables
+    const std::size_t k = 1 + rng.uniform_int(4);  // 1..4 constraints
+    const IntegerProgram p = random_ip(rng, n, k, 6);
+    const IpResult full = BranchBoundSolver().solve(p);
+    ASSERT_TRUE(full.proven_optimal) << "trial " << trial;
+    const double greedy_obj = ip_objective(p, greedy_increments(p));
+    for (const std::int64_t max_nodes : {1, 4, 16}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " max_nodes " +
+                   std::to_string(max_nodes));
+      BranchBoundSolver::Options options;
+      options.max_nodes = max_nodes;
+      const IpResult r = BranchBoundSolver(options).solve(p);
+      ASSERT_TRUE(r.feasible);
+      EXPECT_TRUE(ip_feasible(p, r.x));
+      EXPECT_GE(r.objective, greedy_obj);
+      EXPECT_LE(r.nodes, max_nodes);
+      if (full.nodes > max_nodes) {
+        EXPECT_FALSE(r.proven_optimal);
+        ++cut_off;
+      } else {
+        EXPECT_TRUE(r.proven_optimal);
+        EXPECT_EQ(r.objective, full.objective);
+      }
+    }
+  }
+  EXPECT_GT(cut_off, 0);  // the limits actually bit
 }
 
 TEST(Greedy, AlwaysFeasible) {

@@ -28,13 +28,24 @@
 // threaded rows degrade to single-thread speed instead of thrashing; the
 // JSON records the host's hardware_concurrency for exactly that reason.
 //
+// Every sim_threads=1 provider row (not the dispatch-forced SIMD rows)
+// also records refresh_frame_ms and plain_frame_ms: median frame times
+// over the frames that moved the provider's candidate epoch
+// (candidate-refresh frames) and over the rest, so the refresh spike is
+// visible next to the throughput it taxes.  The exhaustive provider never
+// refreshes; its refresh median is null.
+//
 // Exit status is 0 even when a target is missed (CI smoke, not a gate);
 // tools/check_perf.py turns the JSON into a regression gate.
+#include <algorithm>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -86,21 +97,65 @@ sim::SystemConfig bench_config(const ScalePoint& scale) {
   return cfg;
 }
 
-double frames_per_sec(const sim::SystemConfig& cfg, int frames, int best_of) {
-  double best = 0.0;
+/// One entry's timing: the best frames/sec over the repetitions, plus the
+/// per-frame medians split by whether the frame moved the provider's
+/// candidate epoch (a candidate-refresh frame) or not, each the best
+/// (lowest) median over the repetitions.  A median with no frames of its
+/// kind (the exhaustive provider never refreshes) is NaN.
+struct EntryTiming {
+  double fps = 0.0;
+  double refresh_frame_ms = std::numeric_limits<double>::quiet_NaN();
+  double plain_frame_ms = std::numeric_limits<double>::quiet_NaN();
+};
+
+double median(std::vector<double>& values) {
+  if (values.empty()) return std::numeric_limits<double>::quiet_NaN();
+  const auto mid = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+  std::nth_element(values.begin(), mid, values.end());
+  return *mid;
+}
+
+/// Keeps the smaller of two medians; NaN (no frames) loses to any number.
+double best_median(double best, double candidate) {
+  return std::isnan(best) || candidate < best ? candidate : best;
+}
+
+EntryTiming time_entry(const sim::SystemConfig& cfg, int frames, int best_of) {
+  EntryTiming best;
+  std::vector<double> refresh_ms, plain_ms;
   for (int rep = 0; rep < best_of; ++rep) {
     sim::Simulator simulator(cfg);
     // Short untimed warmup so queues and interference reach a working state.
     const int warm = frames / 10 + 1;
     for (int f = 0; f < warm; ++f) simulator.step_frame();
+    refresh_ms.clear();
+    plain_ms.clear();
     const auto t0 = std::chrono::steady_clock::now();
-    for (int f = 0; f < frames; ++f) simulator.step_frame();
-    const auto t1 = std::chrono::steady_clock::now();
-    const double secs = std::chrono::duration<double>(t1 - t0).count();
+    auto frame_start = t0;
+    for (int f = 0; f < frames; ++f) {
+      const std::uint64_t epoch = simulator.csi_candidate_epoch();
+      simulator.step_frame();
+      const auto frame_end = std::chrono::steady_clock::now();
+      const double ms =
+          std::chrono::duration<double, std::milli>(frame_end - frame_start).count();
+      (simulator.csi_candidate_epoch() != epoch ? refresh_ms : plain_ms).push_back(ms);
+      frame_start = frame_end;
+    }
+    const double secs = std::chrono::duration<double>(frame_start - t0).count();
     const double fps = secs > 0.0 ? static_cast<double>(frames) / secs : 0.0;
-    if (fps > best) best = fps;
+    if (fps > best.fps) best.fps = fps;
+    best.refresh_frame_ms = best_median(best.refresh_frame_ms, median(refresh_ms));
+    best.plain_frame_ms = best_median(best.plain_frame_ms, median(plain_ms));
   }
   return best;
+}
+
+/// A JSON number with three decimals, or null for NaN.
+std::string json_ms(double ms) {
+  if (std::isnan(ms)) return "null";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.3f", ms);
+  return buf;
 }
 
 }  // namespace
@@ -189,7 +244,8 @@ int main(int argc, char** argv) {
         if (provider == "exhaustive" && threads != 1) continue;
         cfg.csi.provider = provider;
         cfg.sim_threads = threads;
-        const double fps = frames_per_sec(cfg, timed, best_of);
+        const EntryTiming timing = time_entry(cfg, timed, best_of);
+        const double fps = timing.fps;
         if (cells == 19 && provider == "culled" && threads == 4) {
           gate_culled_fps = fps;
         }
@@ -203,14 +259,25 @@ int main(int argc, char** argv) {
           if (provider == "culled") culled_127_t1_fps = fps;
           if (provider == "fast") fast_127_t1_fps = fps;
         }
-        std::fprintf(stderr, "perf_smoke:   %-11s sim_threads=%d  %.1f frames/sec\n",
-                     provider.c_str(), threads, fps);
+        std::fprintf(stderr,
+                     "perf_smoke:   %-11s sim_threads=%d  %.1f frames/sec  "
+                     "refresh %s ms  plain %s ms\n",
+                     provider.c_str(), threads, fps,
+                     json_ms(timing.refresh_frame_ms).c_str(),
+                     json_ms(timing.plain_frame_ms).c_str());
         char buf[160];
         std::snprintf(buf, sizeof(buf),
                       "%s      {\"provider\": \"%s\", \"sim_threads\": %d, "
-                      "\"fps\": %.3f}",
+                      "\"fps\": %.3f",
                       first_entry ? "" : ",\n", provider.c_str(), threads, fps);
         json += buf;
+        // The layer split rides on the single-thread rows only: with more
+        // threads the refresh cost is spread over the shards.
+        if (threads == 1) {
+          json += ", \"refresh_frame_ms\": " + json_ms(timing.refresh_frame_ms) +
+                  ", \"plain_frame_ms\": " + json_ms(timing.plain_frame_ms);
+        }
+        json += "}";
         first_entry = false;
       }
     }
@@ -241,7 +308,7 @@ int main(int argc, char** argv) {
       for (int rep = 0; rep < forced_reps; ++rep) {
         for (const ForcedRow& row : forced) {
           common::set_simd_level(row.level);
-          const double fps = frames_per_sec(cfg, timed, 1);
+          const double fps = time_entry(cfg, timed, 1).fps;
           if (fps > *row.fps_out) *row.fps_out = fps;
         }
       }

@@ -106,6 +106,35 @@ class CheckPerfTest(unittest.TestCase):
                            schema2([(19, 100, "exhaustive", 1, 1.0)]))
         self.assertNotEqual(result.returncode, 0)
 
+    def test_frame_split_keys_do_not_change_the_verdict(self):
+        # perf_smoke's sim_threads=1 rows carry refresh_frame_ms and
+        # plain_frame_ms (null when a provider never refreshes).  The gate
+        # reads fps only: every verdict and every printed line must be the
+        # same as for the file without them.
+        base = schema2([(19, 100, "culled", 1, 500.0),
+                        (127, 400, "culled", 1, 100.0),
+                        (19, 100, "exhaustive", 1, 400.0)])
+        gates = ("--cost-scaling", "culled:19:127:1.3",
+                 "--ratio", "culled:exhaustive:1.0")
+        verdicts = []
+        for culled_fps in (500.0, 300.0):
+            plain = schema2([(19, 100, "culled", 1, culled_fps),
+                             (127, 400, "culled", 1, 100.0),
+                             (19, 100, "exhaustive", 1, 400.0)])
+            split = json.loads(json.dumps(plain))
+            for scale in split["scales"]:
+                for e in scale["entries"]:
+                    refresh = None if e["provider"] == "exhaustive" else 1.9
+                    e.update(refresh_frame_ms=refresh, plain_frame_ms=0.9)
+            without = self._run(base, plain, *gates)
+            with_keys = self._run(base, split, *gates)
+            self.assertEqual(with_keys.stdout, without.stdout)
+            self.assertNotIn("Traceback", with_keys.stderr)
+            verdicts.append((with_keys.returncode, without.returncode))
+        # 300 f/s regresses the 19c culled floor and the culled:exhaustive
+        # ratio; 500 f/s passes every gate.
+        self.assertEqual(verdicts, [(0, 0), (1, 1)])
+
     # --- provider/ratio/cost gates ---
 
     def test_require_provider_missing_fails(self):
